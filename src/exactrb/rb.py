@@ -201,11 +201,45 @@ class EstimatedMetrics:
     alpha_norm_sq: float
 
 
-def _batch_ptms(us: np.ndarray, q: int) -> np.ndarray:
-    """Pauli transfer matrices of a stack of unitaries, in one pass."""
+def _complex_ptms(us: np.ndarray, q: int) -> np.ndarray:
+    """Pauli transfer matrices of a stack of unitaries as a complex array
+    with zero imaginary part."""
     basis = paulis.pauli_basis(q)
     t1 = np.einsum("uab,nbc,udc->unad", us, basis, us.conj())
-    return np.einsum("mda,unad->umn", basis, t1).real
+    return np.einsum("mda,unad->umn", basis, t1)
+
+
+def _batch_ptms(us: np.ndarray, q: int) -> np.ndarray:
+    """Pauli transfer matrices of a stack of unitaries, in one pass.
+
+    The result is a strided view (the real part of a complex array), which
+    numpy's matmul multiplies in its own loop rather than through BLAS.
+    The engine keeps that layout for gathered gates, by indexing the
+    complex array and taking the real part, so a sequence gets the same
+    bits in a batch as alone.
+    """
+    return _complex_ptms(us, q).real
+
+
+# Memory budget of one block of Monte Carlo sequences.  A sequence of
+# length m from a product design holds its unitaries, its complex gate
+# PTMs and their einsum intermediate, m (16 d^2 + 32 d^4) bytes; the block
+# size depends only on (m, d, n_sequences), so reruns split the work
+# identically.
+BLOCK_BYTES = 32 * 2 ** 20
+# outcome probabilities below this are not rounding error: the noise is
+# not completely positive
+NEG_PROB_TOL = 1e-9
+
+
+def _block_size(m: int, d: int, n: int) -> int:
+    per_sequence = m * (16 * d ** 2 + 32 * d ** 4)
+    return max(1, min(n, BLOCK_BYTES // per_sequence))
+
+
+def _stream(seed: int, m: int, i: int) -> np.random.Generator:
+    """Counter-based stream of sequence i at length m."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, m, i))))
 
 
 class _Runtime:
@@ -216,6 +250,11 @@ class _Runtime:
         self.q = d.bit_length() - 1
         self.d = d
         self.noise_mat = config.noise.matrix
+
+        # an explicit design's gates come from one table of element PTMs
+        self.table = None
+        if config.design.kind == "explicit":
+            self.table = _complex_ptms(config.design.elements, self.q)
 
         # initial operator as a weighted sum of eigenstate preparations
         w, vecs = np.linalg.eigh(config.o_ini)
@@ -244,8 +283,57 @@ class _Runtime:
             self.readout = config.spam.readout_matrix()
 
 
-def run_sequence(config: RBConfig, m: int, rng: np.random.Generator,
-                 _rt: _Runtime | None = None) -> float:
+def _run_block(config: RBConfig, rt: _Runtime, m: int, rngs: list,
+               first: int) -> np.ndarray:
+    """Measured values of the sequences first, first + 1, ... of length m.
+
+    rngs[j] is the stream of sequence first + j.  Each stream draws its m
+    gates, then, after the whole block has been propagated, its shots, so
+    the draws do not depend on how sequences are grouped into blocks.
+    """
+    design = config.design
+    if rt.table is not None:
+        # the draws of UnitaryEnsemble.sample, looked up in the PTM table
+        units, ptms = design.elements, rt.table
+        idx = np.array([rng.integers(units.shape[0], size=m) for rng in rngs])
+    else:
+        units = np.concatenate([design.sample(rng, m) for rng in rngs])
+        ptms = _complex_ptms(units, rt.q)
+        idx = np.arange(units.shape[0]).reshape(len(rngs), m)
+
+    state = rt.prep_vecs  # broadcast to (block, d^2, n_prep) by the first step
+    prod = units[idx[:, 0]]
+    for k in range(m):
+        if k:
+            prod = units[idx[:, k]] @ prod
+        state = rt.noise_mat @ (ptms[idx[:, k]].real @ state)
+    linv = _batch_ptms(prod.conj().transpose(0, 2, 1), rt.q)
+    state = rt.noise_mat @ (linv @ state)
+
+    probs = rt.outcome_projs @ state  # (block, d outcomes, n_prep)
+    if rt.readout is not None:
+        probs = rt.readout @ probs
+    low = probs.min(axis=(1, 2))
+    if low.min() < -NEG_PROB_TOL:
+        j = int(np.nonzero(low < -NEG_PROB_TOL)[0][0])
+        raise ValueError(
+            "outcome probability %.3g < 0 at m = %d, sequence %d: "
+            "the noise is not completely positive" % (low[j], m, first + j))
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+
+    if config.n_shots == 0:
+        means = rt.outcome_values @ probs
+    else:
+        means = np.empty((len(rngs), probs.shape[2]))
+        for j, rng in enumerate(rngs):
+            for p in range(probs.shape[2]):
+                counts = rng.multinomial(config.n_shots, probs[j, :, p])
+                means[j, p] = (rt.outcome_values @ counts) / config.n_shots
+    return means @ rt.prep_weights
+
+
+def run_sequence(config: RBConfig, m: int, rng: np.random.Generator) -> float:
     """One random sequence of length m plus its noisy inverse.
 
     Returns the measured expectation value of o_meas: the exact one when
@@ -253,37 +341,13 @@ def run_sequence(config: RBConfig, m: int, rng: np.random.Generator,
     a multi-eigenstate o_ini the same sequence is run once per eigenstate
     and the expectation values are combined with the eigenvalue weights
     (the difference-before-squaring form when o_ini is a state pair).
+    This is the one-stream case of the engine behind v_t_monte_carlo.
+    Raises ValueError when an outcome probability is negative beyond
+    rounding, which a noise map that is not completely positive causes.
     """
     if m < 1:
         raise ValueError("sequence length must be >= 1")
-    rt = _rt if _rt is not None else _Runtime(config)
-    us = config.design.sample(rng, m)
-    ls = _batch_ptms(us, rt.q)
-    prod = us[0]
-    for i in range(1, m):
-        prod = us[i] @ prod
-    inv = prod.conj().T
-    linv = _batch_ptms(inv[None, :, :], rt.q)[0]
-
-    state = rt.prep_vecs.copy()
-    for i in range(m):
-        state = rt.noise_mat @ (ls[i] @ state)
-    state = rt.noise_mat @ (linv @ state)
-
-    probs = rt.outcome_projs @ state  # (d outcomes, n_prep)
-    if rt.readout is not None:
-        probs = rt.readout @ probs
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum(axis=0, keepdims=True)
-
-    if config.n_shots == 0:
-        means = rt.outcome_values @ probs
-    else:
-        means = np.empty(probs.shape[1])
-        for j in range(probs.shape[1]):
-            counts = rng.multinomial(config.n_shots, probs[:, j])
-            means[j] = (rt.outcome_values @ counts) / config.n_shots
-    return float(rt.prep_weights @ means)
+    return float(_run_block(config, _Runtime(config), m, [rng], 0)[0])
 
 
 def _jackknife_stderr(x: np.ndarray) -> float:
@@ -297,19 +361,27 @@ def v_t_monte_carlo(config: RBConfig) -> DecayCurve:
 
     Each (m, sequence index) pair gets its own counter-based stream, so
     results are bit-identical for a given seed regardless of evaluation
-    order or thread count.
+    order or thread count.  All sequences of one length advance together,
+    in blocks whose size follows from BLOCK_BYTES and (m, d, n_sequences)
+    alone, which bounds memory for long two-qubit runs.  An explicit
+    design's gate PTMs are computed once per config and looked up per
+    step; a product design's are computed per block.  Raises ValueError
+    naming m and the sequence index when an outcome probability is
+    negative beyond rounding (noise that is not completely positive).
     """
     rt = _Runtime(config)
+    n = config.n_sequences
     pts = []
     for m in config.sequence_lengths:
-        vals = np.empty(config.n_sequences)
-        for i in range(config.n_sequences):
-            ss = np.random.SeedSequence((config.seed, m, i))
-            rng = np.random.Generator(np.random.Philox(ss))
-            vals[i] = run_sequence(config, m, rng, rt)
+        vals = np.empty(n)
+        size = _block_size(m, rt.d, n)
+        for start in range(0, n, size):
+            stop = min(start + size, n)
+            rngs = [_stream(config.seed, m, i) for i in range(start, stop)]
+            vals[start:stop] = _run_block(config, rt, m, rngs, start)
         powered = vals ** config.t_order
         pts.append((m, powered.mean(), _jackknife_stderr(powered),
-                    config.n_sequences, config.n_shots))
+                    n, config.n_shots))
     return DecayCurve(points=tuple(pts))
 
 

@@ -1,7 +1,12 @@
 """Sequence simulation, exact decay curves, fitting, and metric pipelines."""
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactrb import channels, designs, irreps, paulis, rb
 
@@ -226,6 +231,136 @@ def test_spam_leaves_rates_alone():
     # stays below the SPAM-free one.
     assert np.all(np.diff(got.values) < 0)
     assert np.all(got.values < want + 4 * got.stderrs)
+
+
+def test_non_cp_noise_fails_fast():
+    # Trace preserving but not completely positive: the unital block 1.5 I
+    # stretches Bloch vectors, so the very first sequence ends with a
+    # negative outcome probability instead of being clipped in silence.
+    noise = channels.PTM(q=1, matrix=np.diag([1.0, 1.5, 1.5, 1.5]))
+    cfg = base_config(noise=noise, t_order=1, sequence_lengths=(1, 2))
+    with pytest.raises(ValueError, match="m = 1, sequence 0"):
+        rb.v_t_monte_carlo(cfg)
+    with pytest.raises(ValueError, match="not completely positive"):
+        rb.run_sequence(cfg, 3, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the batched engine against a per-sequence reference
+
+
+def reference_sequence(config, m, rng, rt):
+    """One sequence, gate by gate: the engine's arithmetic without batching."""
+    us = config.design.sample(rng, m)
+    ls = rb._batch_ptms(us, rt.q)
+    prod = us[0]
+    for i in range(1, m):
+        prod = us[i] @ prod
+    linv = rb._batch_ptms(prod.conj().T[None, :, :], rt.q)[0]
+    state = rt.prep_vecs.copy()
+    for i in range(m):
+        state = rt.noise_mat @ (ls[i] @ state)
+    state = rt.noise_mat @ (linv @ state)
+    probs = rt.outcome_projs @ state
+    if rt.readout is not None:
+        probs = rt.readout @ probs
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum(axis=0, keepdims=True)
+    if config.n_shots == 0:
+        means = rt.outcome_values @ probs
+    else:
+        means = np.empty(probs.shape[1])
+        for j in range(probs.shape[1]):
+            counts = rng.multinomial(config.n_shots, probs[:, j])
+            means[j] = (rt.outcome_values @ counts) / config.n_shots
+    return float(rt.prep_weights @ means)
+
+
+def reference_v_t(config):
+    """V^(t)(m) from one Philox stream per (seed, m, i), one sequence at a time."""
+    rt = rb._Runtime(config)
+    pts = []
+    for m in config.sequence_lengths:
+        vals = np.empty(config.n_sequences)
+        for i in range(config.n_sequences):
+            ss = np.random.SeedSequence((config.seed, m, i))
+            rng = np.random.Generator(np.random.Philox(ss))
+            vals[i] = reference_sequence(config, m, rng, rt)
+        powered = vals ** config.t_order
+        pts.append((m, powered.mean(), rb._jackknife_stderr(powered),
+                    config.n_sequences, config.n_shots))
+    return rb.DecayCurve(points=tuple(pts))
+
+
+@functools.cache
+def engine_design(name):
+    if name == "icosahedral":
+        return ico()
+    if name == "clifford1":
+        return designs.clifford_group(1)
+    if name == "interleaved2q":
+        return designs.interleaved_clifford_design()
+    c, s = np.cos(0.3), np.sin(0.3)
+    return designs.UnitaryEnsemble(d=2, kind="product", layers=(
+        designs.EnsembleLayer(ico()),
+        designs.FixedLayer(np.array([[c, -s], [s, c]], dtype=complex)),
+        designs.EnsembleLayer(designs.clifford_group(1))))
+
+
+def test_engine_bit_identical_long_sequences():
+    # Single-eigenstate preparations take numpy's matrix-vector product,
+    # where a change of operand layout (BLAS against numpy's own loop)
+    # moves the last bit of some of these values.
+    cfg = base_config(noise=channels.random_cptp(2, 3, seed=1).to_ptm(),
+                      t_order=1, o_ini=P0, o_meas=P0, n_sequences=13,
+                      sequence_lengths=(2, 5, 30, 120), seed=1,
+                      spam=rb.SPAMModel(eta_prep=0.1, eta_meas=(0.05, 0.2)))
+    assert rb.v_t_monte_carlo(cfg).points == reference_v_t(cfg).points
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_engine_matches_reference(data):
+    name = data.draw(st.sampled_from(
+        ["icosahedral", "clifford1", "product1q", "interleaved2q"]), label="design")
+    design = engine_design(name)
+    one_qubit = design.d == 2
+    t_order = data.draw(st.sampled_from([1, 2]), label="t_order")
+    # second order needs a traceless o_ini: a pair of eigenstates
+    two_states = t_order == 2 or data.draw(st.booleans(), label="two_states")
+    if one_qubit:
+        o_ini = Z if two_states else P0
+        o_meas = data.draw(st.sampled_from([P0, Z]), label="o_meas")
+    else:
+        o_ini = paulis.named_operator("rho_minus" if two_states else "P00")
+        o_meas = paulis.named_operator(data.draw(
+            st.sampled_from(["P00", "ZZ"]), label="o_meas"))
+    spam = None
+    if one_qubit and data.draw(st.booleans(), label="spam"):
+        spam = rb.SPAMModel(eta_prep=0.05, eta_meas=(0.02, 0.1))
+    lengths = data.draw(st.sets(st.integers(1, 30 if one_qubit else 8),
+                                min_size=1, max_size=3), label="lengths")
+    cfg = rb.RBConfig(
+        design=design,
+        noise=channels.random_cptp(design.d, 2, seed=data.draw(
+            st.integers(0, 99), label="noise_seed")).to_ptm(),
+        t_order=t_order, sequence_lengths=tuple(sorted(lengths)),
+        n_sequences=data.draw(st.integers(2, 40 if one_qubit else 8), label="n"),
+        n_shots=data.draw(st.one_of(st.just(0), st.integers(1, 64)), label="shots"),
+        seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"),
+        o_ini=o_ini, o_meas=o_meas, spam=spam)
+    # 1 byte makes every block a single sequence; 20 kB gives blocks of
+    # a few sequences at the longer lengths
+    budget = data.draw(st.sampled_from([1, 20_000, rb.BLOCK_BYTES]), label="budget")
+    with mock.patch.object(rb, "BLOCK_BYTES", budget):
+        got = rb.v_t_monte_carlo(cfg)
+    want = reference_v_t(cfg)
+    if design.kind == "explicit":
+        assert got.points == want.points
+    else:
+        assert [p[::3] for p in got.points] == [p[::3] for p in want.points]
+        assert np.abs(got.values - want.values).max() <= 1e-12
+        assert np.abs(got.stderrs - want.stderrs).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
