@@ -243,6 +243,18 @@ def _write_curve(curve, path, digest) -> None:
         fh.write(body)
 
 
+def _curve_seed(seed: int, k: int) -> int:
+    """Seed of the k-th curve of an rb run, spawned from the master seed.
+
+    Curves of one run, and curves of runs with different master seeds,
+    get unrelated seeds, so no two of them share sequence streams.
+    """
+    import numpy as np
+
+    ss = np.random.SeedSequence(seed, spawn_key=(k,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def cmd_rb(args, argv) -> int:
     from . import channels, irreps, paulis, rb
 
@@ -291,13 +303,13 @@ def cmd_rb(args, argv) -> int:
                 em = cfg["spam"].get("eta_meas", 0.0)
                 spam = rb.SPAMModel(eta_prep=cfg["spam"].get("eta_prep", 0.0),
                                     eta_meas=tuple(em) if isinstance(em, list) else em)
-            for name, t_order, ini, meas in settings:
+            for k, (name, t_order, ini, meas) in enumerate(settings):
                 rcfg = rb.RBConfig(
                     design=design, noise=noise, t_order=t_order,
                     sequence_lengths=tuple(m_list),
                     n_sequences=int(cfg["n_sequences"]),
                     n_shots=int(cfg.get("n_shots", 0)),
-                    seed=seed + sum(name.encode()),
+                    seed=_curve_seed(seed, k),
                     o_ini=paulis.named_operator(ini),
                     o_meas=paulis.named_operator(meas), spam=spam)
                 curves[name] = rb.v_t_monte_carlo(rcfg)
