@@ -221,19 +221,23 @@ def _batch_ptms(us: np.ndarray, q: int) -> np.ndarray:
     return _complex_ptms(us, q).real
 
 
-# Memory budget of one block of Monte Carlo sequences.  A sequence of
-# length m from a product design holds its unitaries, its complex gate
-# PTMs and their einsum intermediate, m (16 d^2 + 32 d^4) bytes; the block
-# size depends only on (m, d, n_sequences), so reruns split the work
-# identically.
+# Memory budget of one block of Monte Carlo sequences, and of an explicit
+# design's PTM table.  The block size depends only on (m, d, n_sequences)
+# and on whether a table is used, so reruns split the work identically.
 BLOCK_BYTES = 32 * 2 ** 20
 # outcome probabilities below this are not rounding error: the noise is
 # not completely positive
 NEG_PROB_TOL = 1e-9
 
 
-def _block_size(m: int, d: int, n: int) -> int:
-    per_sequence = m * (16 * d ** 2 + 32 * d ** 4)
+def _block_size(m: int, d: int, n: int, table: bool) -> int:
+    if table:
+        # m gate indices, plus one gathered complex PTM per step
+        per_sequence = m * 8 + 16 * d ** 4
+    else:
+        # m sampled unitaries, their complex PTMs and the einsum
+        # intermediate
+        per_sequence = m * (16 * d ** 2 + 32 * d ** 4)
     return max(1, min(n, BLOCK_BYTES // per_sequence))
 
 
@@ -243,18 +247,26 @@ def _stream(seed: int, m: int, i: int) -> np.random.Generator:
 
 
 class _Runtime:
-    """Per-config precomputation shared across sequences."""
+    """Per-config precomputation shared across sequences.
 
-    def __init__(self, config: RBConfig):
+    draws is the number of gates the run will sample.  An explicit design
+    gets a table of element PTMs (complex table plus einsum intermediate,
+    32 d^4 bytes per element) only when it fits BLOCK_BYTES and the run
+    draws at least as many gates as the design has elements; otherwise
+    the sampled gates' PTMs are computed per block, as for product designs.
+    """
+
+    def __init__(self, config: RBConfig, draws: int):
         d = config.design.d
         self.q = d.bit_length() - 1
         self.d = d
         self.noise_mat = config.noise.matrix
 
-        # an explicit design's gates come from one table of element PTMs
         self.table = None
         if config.design.kind == "explicit":
-            self.table = _complex_ptms(config.design.elements, self.q)
+            size = config.design.elements.shape[0]
+            if size * 32 * d ** 4 <= BLOCK_BYTES and size <= draws:
+                self.table = _complex_ptms(config.design.elements, self.q)
 
         # initial operator as a weighted sum of eigenstate preparations
         w, vecs = np.linalg.eigh(config.o_ini)
@@ -297,6 +309,7 @@ def _run_block(config: RBConfig, rt: _Runtime, m: int, rngs: list,
         units, ptms = design.elements, rt.table
         idx = np.array([rng.integers(units.shape[0], size=m) for rng in rngs])
     else:
+        # for an explicit design, sample draws the same indices
         units = np.concatenate([design.sample(rng, m) for rng in rngs])
         ptms = _complex_ptms(units, rt.q)
         idx = np.arange(units.shape[0]).reshape(len(rngs), m)
@@ -347,7 +360,7 @@ def run_sequence(config: RBConfig, m: int, rng: np.random.Generator) -> float:
     """
     if m < 1:
         raise ValueError("sequence length must be >= 1")
-    return float(_run_block(config, _Runtime(config), m, [rng], 0)[0])
+    return float(_run_block(config, _Runtime(config, m), m, [rng], 0)[0])
 
 
 def _jackknife_stderr(x: np.ndarray) -> float:
@@ -365,16 +378,19 @@ def v_t_monte_carlo(config: RBConfig) -> DecayCurve:
     in blocks whose size follows from BLOCK_BYTES and (m, d, n_sequences)
     alone, which bounds memory for long two-qubit runs.  An explicit
     design's gate PTMs are computed once per config and looked up per
-    step; a product design's are computed per block.  Raises ValueError
-    naming m and the sequence index when an outcome probability is
-    negative beyond rounding (noise that is not completely positive).
+    step when its table fits BLOCK_BYTES and the run draws at least as
+    many gates as the design has elements; otherwise, and for product
+    designs, the sampled gates' PTMs are computed per block.  Raises
+    ValueError naming m and the sequence index when an outcome
+    probability is negative beyond rounding (noise that is not completely
+    positive).
     """
-    rt = _Runtime(config)
     n = config.n_sequences
+    rt = _Runtime(config, n * sum(config.sequence_lengths))
     pts = []
     for m in config.sequence_lengths:
         vals = np.empty(n)
-        size = _block_size(m, rt.d, n)
+        size = _block_size(m, rt.d, n, rt.table is not None)
         for start in range(0, n, size):
             stop = min(start + size, n)
             rngs = [_stream(config.seed, m, i) for i in range(start, stop)]

@@ -278,7 +278,7 @@ def reference_sequence(config, m, rng, rt):
 
 def reference_v_t(config):
     """V^(t)(m) from one Philox stream per (seed, m, i), one sequence at a time."""
-    rt = rb._Runtime(config)
+    rt = rb._Runtime(config, draws=0)  # no table: PTMs of the sampled gates
     pts = []
     for m in config.sequence_lengths:
         vals = np.empty(config.n_sequences)
@@ -318,6 +318,25 @@ def test_engine_bit_identical_long_sequences():
     assert rb.v_t_monte_carlo(cfg).points == reference_v_t(cfg).points
 
 
+def test_explicit_design_without_table():
+    # The table of element PTMs is built only when it fits the byte budget
+    # and the run draws at least as many gates as the design has elements;
+    # otherwise explicit designs take the per-block sampling path, which
+    # draws the same indices.
+    cfg = base_config(noise=channels.random_cptp(2, 3, seed=2).to_ptm(),
+                      t_order=2, n_sequences=6, sequence_lengths=(1, 4, 9),
+                      n_shots=50, seed=3)
+    size = cfg.design.elements.shape[0]
+    assert rb._Runtime(cfg, size).table is not None
+    assert rb._Runtime(cfg, size - 1).table is None
+    with_table = rb.v_t_monte_carlo(cfg)
+    table_bytes = size * 32 * cfg.design.d ** 4
+    with mock.patch.object(rb, "BLOCK_BYTES", table_bytes - 1):
+        assert rb._Runtime(cfg, 10 ** 9).table is None
+        without = rb.v_t_monte_carlo(cfg)
+    assert without.points == with_table.points == reference_v_t(cfg).points
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_engine_matches_reference(data):
@@ -349,9 +368,12 @@ def test_engine_matches_reference(data):
         n_shots=data.draw(st.one_of(st.just(0), st.integers(1, 64)), label="shots"),
         seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"),
         o_ini=o_ini, o_meas=o_meas, spam=spam)
-    # 1 byte makes every block a single sequence; 20 kB gives blocks of
-    # a few sequences at the longer lengths
-    budget = data.draw(st.sampled_from([1, 20_000, rb.BLOCK_BYTES]), label="budget")
+    # 1 byte makes every block a single sequence and leaves explicit designs
+    # without a PTM table; 20 kB gives the icosahedral group no table and
+    # blocks of a few sequences at the longer lengths; 13 kB just fits the
+    # 24-element Clifford table and splits its longer lengths into two blocks
+    budget = data.draw(st.sampled_from([1, 13_000, 20_000, rb.BLOCK_BYTES]),
+                       label="budget")
     with mock.patch.object(rb, "BLOCK_BYTES", budget):
         got = rb.v_t_monte_carlo(cfg)
     want = reference_v_t(cfg)
