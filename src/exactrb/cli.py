@@ -173,9 +173,13 @@ def cmd_design_verify(args, argv) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print("cannot load design: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    report = designs.verify_strong_design(
-        ensemble, args.t, tol=args.tol, mc_samples=args.mc_samples,
-        strong=args.strong, seed=args.seed)
+    try:
+        report = designs.verify_strong_design(
+            ensemble, args.t, tol=args.tol, mc_samples=args.mc_samples,
+            strong=args.strong, seed=args.seed)
+    except ValueError as exc:
+        print("cannot verify: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     man = _manifest(argv, _sha256_file(args.design), args.seed, [args.out])
     doc = report.to_json_dict()
     doc["manifest_digest"] = man.digest()

@@ -547,6 +547,9 @@ def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
     exact = e.kind == "explicit" and mc_samples is None
     if not exact and not mc_samples:
         raise ValueError("product ensembles require mc_samples")
+    # the (t, t) moment is the largest; refuse before building any
+    haar.check_moment_budget(e.d, t, e.size if exact else mc_samples,
+                             per_sample=not exact)
     if exact:
         stack = e.elements
         residuals = {}
@@ -591,9 +594,8 @@ def _moment_stderr(stack: np.ndarray, r: int, s: int, mean: np.ndarray) -> float
     if n < 2:
         return float("inf")
     sq = np.zeros(mean.shape, dtype=float)
-    chunk = 2048
-    for start in range(0, n, chunk):
-        part = stack[start:start + chunk]
+    for start in range(0, n, haar.CHUNK):
+        part = stack[start:start + haar.CHUNK]
         kr = haar._kron_power(part, r)
         ks = haar._kron_power(part.conj(), s)
         prod = np.einsum("nab,ncd->nacbd", kr, ks).reshape(part.shape[0], *mean.shape)

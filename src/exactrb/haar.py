@@ -25,6 +25,11 @@ from . import numerics
 from .paulis import vec_basis_matrix
 
 MAX_T = 12
+# Memory budget of one dense moment: its d^(2t)-side complex matrix plus
+# the Kronecker powers of one chunk of CHUNK unitaries.  1 GiB holds the
+# largest dense projector the acceptance suite builds (side 6,561).
+MOMENT_BYTES = 2 ** 30
+CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -91,18 +96,36 @@ def _gram_pinv(d: int, t: int) -> tuple[np.ndarray, int]:
     return numerics.pinv_psd(_gram(d, t))
 
 
-def haar_moment_projector(d: int, t: int, cap: int = 2 ** 20) -> MomentOperator:
+def check_moment_budget(d: int, t: int, n: int = 0, per_sample: bool = False,
+                        cap: int | None = None) -> None:
+    """Refuse a dense (t, t) moment of n unitaries on U(d) that needs more
+    than cap bytes (default MOMENT_BYTES), with a ValueError naming d, t
+    and the bytes.
+
+    Counted are the d^(2t)-side complex matrix, the two Kronecker powers of
+    one chunk of at most CHUNK unitaries and, with per_sample, that chunk's
+    per-unitary products, which a sampled moment's standard error builds.
+    """
+    side = d ** (2 * t)
+    rows = min(n, CHUNK)
+    need = 16 * (side ** 2 + 2 * rows * side + (rows * side ** 2 if per_sample else 0))
+    cap = MOMENT_BYTES if cap is None else cap
+    if need > cap:
+        raise ValueError(
+            f"the dense moment at d = {d}, t = {t} needs {need:,} bytes, "
+            f"over the {cap:,}-byte budget")
+
+
+def haar_moment_projector(d: int, t: int, cap: int | None = None) -> MomentOperator:
     """Exact t-th Haar moment operator on U(d) as a dense matrix.
 
-    The matrix has side d^(2t); the cap bounds that side, and memory grows
-    as its square, so large (d, t) cells are better served by
+    The matrix has side d^(2t), so its 16 d^(4t) bytes may not exceed cap
+    (default MOMENT_BYTES); larger (d, t) cells are served by
     :func:`haar_frame_potential` alone.
     """
     if t < 1 or t > MAX_T:
         raise ValueError(f"t must be in 1..{MAX_T}")
-    dim = d ** (2 * t)
-    if dim > cap:
-        raise ValueError(f"vector dimension d^(2t) = {dim} exceeds cap {cap}")
+    check_moment_budget(d, t, cap=cap)
     perms = _permutations(t)
     vecs = np.array([perm_operator(s, d).reshape(-1) for s in perms])
     gram_pinv, _ = _gram_pinv(d, t)
@@ -167,7 +190,7 @@ def haar_twirl_ptm2(x: np.ndarray, d: int) -> np.ndarray:
     return out.real
 
 
-def mixed_moment(stack: np.ndarray, r: int, s: int, chunk: int = 2048) -> np.ndarray:
+def mixed_moment(stack: np.ndarray, r: int, s: int, chunk: int = CHUNK) -> np.ndarray:
     """Ensemble average of U^(x r) (x) conj(U)^(x s) over a stack of unitaries.
 
     Returns a d^(r+s) square matrix (a 1 x 1 matrix holding 1.0 when

@@ -11,23 +11,28 @@ fidelity, unitarity and self-adjointness metrics.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import least_squares
 
 from . import channels, designs, irreps, paulis
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 
-# fitter knobs: ten Nelder-Mead starts share a 1e4-evaluation budget, the
-# coordinate refinement runs to xatol 1e-14, and rate gaps below 1e-4 are
-# reported as ill-conditioned rather than trusted
+# fitter knobs: the N_STARTS best-scoring grid starts are each refined by
+# one bounded least-squares solve of at most FIT_BUDGET residual
+# evaluations, run to SOLVER_TOL; a rate gap below GAP_TOL or a weighted
+# Jacobian whose condition number exceeds COND_TOL is reported as
+# ill-conditioned rather than trusted
 FIT_BUDGET = 10 ** 4
 N_STARTS = 10
+SOLVER_TOL = 1e-15
 GAP_TOL = 1e-4
+COND_TOL = 1e8
 _START_GRID = (0.05, 0.2, 0.4, 0.6, 0.75, 0.86, 0.93, 0.97, 0.99, 0.999)
 
 
@@ -474,81 +479,52 @@ def v1_approx_design(noise: channels.PTM, o_ini: np.ndarray, o_meas: np.ndarray,
 
 
 def _weighted_amplitudes(ms, y, w, rates):
-    x = rates[None, :] ** ms[:, None]
-    xw = x * w[:, None]
+    """Weighted linear least-squares amplitudes at fixed rates, with the
+    weighted design matrix and the weighted residual."""
+    xw = rates[None, :] ** ms[:, None] * w[:, None]
     amps, *_ = np.linalg.lstsq(xw, y * w, rcond=None)
-    resid = xw @ amps - y * w
-    return amps, float(resid @ resid)
+    return amps, xw, xw @ amps - y * w
 
 
-def _gauss_newton_polish(ms, y, w, known, free, amps):
-    """Levenberg-damped joint refinement of amplitudes and free rates.
+def _rate_derivatives(ms, w, rates, amps):
+    """Weighted derivative of the model along each rate, one column each."""
+    return amps * ms[:, None] * rates[None, :] ** (ms[:, None] - 1) * w[:, None]
 
-    Polishes the coordinate-descent optimum, which can stall in the
-    narrow diagonal valley left by nearly equal rates.
-    """
-    n_terms = len(known) + free.size
-    theta = np.concatenate([amps, free])
 
-    def split(th):
-        rates = np.concatenate([known, np.clip(th[n_terms:], 0.0, 1.0)])
-        return th[:n_terms], rates
-
-    def resid(th):
-        a, rates = split(th)
-        return (rates[None, :] ** ms[:, None] @ a - y) * w
-
-    def jac(th):
-        a, rates = split(th)
-        j = np.empty((ms.size, theta.size))
-        j[:, :n_terms] = rates[None, :] ** ms[:, None]
-        for k in range(free.size):
-            r = rates[len(known) + k]
-            j[:, n_terms + k] = a[len(known) + k] * ms * r ** (ms - 1)
-        return j * w[:, None]
-
-    lam = 1e-10
-    cost = float(resid(theta) @ resid(theta))
-    for _ in range(100):
-        r = resid(theta)
-        j = jac(theta)
-        g = j.T @ r
-        h = j.T @ j
-        try:
-            step = np.linalg.solve(h + lam * np.diag(np.diag(h) + 1e-300), -g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(h, -g, rcond=None)[0]
-        trial = theta + step
-        trial[n_terms:] = np.clip(trial[n_terms:], 0.0, 1.0)
-        c_trial = float(resid(trial) @ resid(trial))
-        if c_trial <= cost:
-            moved = np.abs(trial - theta).max()
-            theta, cost = trial, c_trial
-            lam = max(lam * 0.3, 1e-14)
-            if moved < 1e-15:
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e8:
-                break
-    return theta[:n_terms], np.clip(theta[n_terms:], 0.0, 1.0)
+def _start_combinations(n_free):
+    """Every descending choice of n_free distinct start-grid rates (of an
+    evenly spaced grid of n_free rates when the start grid is shorter)."""
+    grid = _START_GRID
+    if n_free > len(grid):
+        grid = tuple(np.linspace(grid[0], grid[-1], n_free))
+    return [np.array(c) for c in itertools.combinations(grid[::-1], n_free)]
 
 
 def fit_exponentials(curve: DecayCurve, n_terms: int,
                      known_rates=None) -> FitResult:
     """Fit V(m) = sum_k A_k r_k^m with r_k in [0, 1].
 
-    Variable projection: the amplitudes are solved linearly at every
-    candidate rate vector, the free rates are optimized by bounded
-    Nelder-Mead from ten graded starts, and a subtract-and-refit pass
-    (coordinate-wise bounded scalar refinement against the residual of
-    the other terms) polishes the optimum.  Pinned rates come first in
-    the returned tuple; free rates follow, sorted in decreasing order.
+    Variable projection (Golub & Pereyra, Inverse Problems 19 (2003) R1):
+    the amplitudes are solved by weighted linear least squares inside the
+    residual, so only the free rates are searched.  Every combination of
+    distinct start-grid rates is scored by its chi^2; the best N_STARTS are
+    each refined by one bounded trust-region least-squares solve with
+    Kaufman's Jacobian, and the solve with the lowest chi^2 wins.  Pinned
+    rates come first in the returned tuple; free rates follow, sorted in
+    decreasing order.
+
+    Flags: "non_converged" when the winning solve used all FIT_BUDGET of
+    its residual evaluations; "ill_conditioned" when two rates lie closer
+    than GAP_TOL or the condition number of the weighted Jacobian exceeds
+    COND_TOL, which a term the data cannot identify (one whose amplitude
+    vanishes or whose rate is near 0) causes.  n_evaluations counts chi^2
+    evaluations, the scored starts included.
     """
-    known = [float(r) for r in (known_rates or [])]
-    if any(not 0.0 <= r <= 1.0 for r in known):
+    known = np.array(known_rates or [], dtype=float)
+    if np.any((known < 0.0) | (known > 1.0)):
         raise ValueError("rates must lie in [0, 1]")
-    n_free = n_terms - len(known)
+    n_known = known.size
+    n_free = n_terms - n_known
     if n_free < 0:
         raise ValueError("more pinned rates than terms")
     ms = curve.ms
@@ -556,84 +532,48 @@ def fit_exponentials(curve: DecayCurve, n_terms: int,
     if ms.size < 2 * n_terms + 1:
         raise ValueError("need at least 2*n_terms + 1 points")
     se = curve.stderrs
-    w = 1.0 / se if np.all(se > 0) else np.ones_like(y)
     weighted = bool(np.all(se > 0))
+    w = 1.0 / se if weighted else np.ones_like(y)
 
     flags = []
     nfev = 0
-
-    def chi2(free):
-        rates = np.concatenate([known, np.clip(free, 0.0, 1.0)])
-        return _weighted_amplitudes(ms, y, w, rates)[1]
-
     free = np.empty(0)
     if n_free > 0:
-        if n_free == 1:
-            starts = [np.array([g]) for g in _START_GRID]
-        else:
-            perm_rng = np.random.default_rng(7)
-            cols = [perm_rng.permutation(N_STARTS) for _ in range(n_free)]
-            starts = [np.array([_START_GRID[cols[k][i]] for k in range(n_free)])
-                      for i in range(N_STARTS)]
-        best = None
-        per_start = FIT_BUDGET // N_STARTS
-        converged = False
-        for x0 in starts:
-            res = minimize(chi2, x0, method="Nelder-Mead",
-                           bounds=[(0.0, 1.0)] * n_free,
-                           options={"maxfev": per_start, "xatol": 1e-12,
-                                    "fatol": 1e-16})
-            nfev += res.nfev
-            converged = converged or bool(res.success)
-            if best is None or res.fun < best[1]:
-                best = (np.clip(res.x, 0.0, 1.0), res.fun)
-        free = best[0].copy()
-        if not converged and nfev >= FIT_BUDGET:
+        def resid(x):
+            return _weighted_amplitudes(ms, y, w, np.concatenate([known, x]))[2]
+
+        def jac(x):
+            # the free rates' derivative columns projected onto the
+            # orthogonal complement of the design matrix's column space
+            amps, xw, _ = _weighted_amplitudes(ms, y, w, np.concatenate([known, x]))
+            cols = _rate_derivatives(ms, w, x, amps[n_known:])
+            return cols - xw @ np.linalg.lstsq(xw, cols, rcond=None)[0]
+
+        starts = _start_combinations(n_free)
+        scores = [float(r @ r) for r in map(resid, starts)]
+        sols = [least_squares(resid, starts[i], jac=jac, bounds=(0.0, 1.0),
+                              method="trf", max_nfev=FIT_BUDGET,
+                              ftol=SOLVER_TOL, xtol=SOLVER_TOL, gtol=SOLVER_TOL)
+                for i in np.argsort(scores, kind="stable")[:N_STARTS]]
+        nfev = len(starts) + sum(sol.nfev for sol in sols)
+        best = min(sols, key=lambda sol: sol.cost)
+        free = np.sort(best.x)[::-1]
+        if best.status == 0:
             flags.append("non_converged")
 
-        # subtract-and-refit: each rate is re-fitted alone against the
-        # residual of the other terms, repeated until stationary
-        for _ in range(60):
-            moved = 0.0
-            for k in range(n_free):
-                def along(xk, k=k):
-                    trial = free.copy()
-                    trial[k] = xk
-                    return chi2(trial)
-                res = minimize_scalar(along, bounds=(0.0, 1.0), method="bounded",
-                                      options={"xatol": 1e-14})
-                nfev += res.nfev
-                if res.fun <= chi2(free):
-                    moved = max(moved, abs(res.x - free[k]))
-                    free[k] = res.x
-            if moved < 1e-13:
-                break
-
-        amps0, _ = _weighted_amplitudes(ms, y, w, np.concatenate([known, free]))
-        amps0, free = _gauss_newton_polish(ms, y, w, known, free, amps0)
-        order = np.argsort(free)[::-1]
-        free = free[order]
-
     rates = np.concatenate([known, free])
-    amps, rss = _weighted_amplitudes(ms, y, w, rates)
+    amps, xw, res = _weighted_amplitudes(ms, y, w, rates)
+    rss = float(res @ res)
 
+    # weighted Jacobian in (amplitudes, free rates) order, for the
+    # condition rule and the Gauss-Newton covariance
+    jw = np.hstack([xw, _rate_derivatives(ms, w, free, amps[n_known:])])
     gaps = [abs(a - b) for i, a in enumerate(rates) for b in rates[i + 1:]]
-    if gaps and min(gaps) < GAP_TOL:
+    if (gaps and min(gaps) < GAP_TOL) or np.linalg.cond(jw) > COND_TOL:
         flags.append("ill_conditioned")
-
-    # Gauss-Newton covariance in (amplitudes, free rates) order
     n_par = n_terms + n_free
-    jac = np.empty((ms.size, n_par))
-    jac[:, :n_terms] = rates[None, :] ** ms[:, None]
-    for j in range(n_free):
-        k = len(known) + j
-        r = rates[k]
-        dr = amps[k] * ms * r ** (ms - 1) if r > 0 else np.zeros_like(ms)
-        jac[:, n_terms + j] = dr
-    jw = jac * w[:, None]
-    hess = jw.T @ jw
     scale = 1.0 if weighted else (rss / (ms.size - n_par) if ms.size > n_par else 0.0)
-    cov = np.linalg.pinv(hess) * scale
+    cov = np.linalg.pinv(jw.T @ jw) * scale
 
     return FitResult(amplitudes=tuple(float(a) for a in amps),
                      rates=tuple(float(r) for r in rates),

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from exactrb import channels, cli, designs, rb
+from exactrb import channels, cli, designs, haar, rb
 
 
 def run(*argv):
@@ -57,6 +57,17 @@ def test_design_verify_pass_and_fail(tmp_path):
                "--out", str(tmp_path / "r2.json")) == cli.EXIT_FAIL
     assert run("design", "verify", "--design", str(cl), "--t", "3",
                "--out", str(tmp_path / "r3.json")) == cli.EXIT_PASS
+
+
+def test_design_verify_over_budget(tmp_path, monkeypatch, capsys):
+    ico = tmp_path / "ico.json"
+    assert run("design", "build", "--type", "icosahedral",
+               "--out", str(ico)) == cli.EXIT_PASS
+    monkeypatch.setattr(haar, "MOMENT_BYTES", 2 ** 20)
+    assert run("design", "verify", "--design", str(ico), "--t", "4",
+               "--out", str(tmp_path / "r.json")) == cli.EXIT_USAGE
+    assert "d = 2, t = 4 needs" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_design_verify_missing_file(tmp_path):

@@ -162,6 +162,22 @@ def test_verify_product_requires_samples():
     assert report.passed
 
 
+def test_verify_refuses_moments_over_budget(monkeypatch):
+    # d = 2, t = 4 over 60 elements needs 16 (256^2 + 60 * 2 * 256) bytes,
+    # its Haar projector alone 16 * 256^2; under a 1 MB budget t = 3 still
+    # runs and t = 4 is refused before any moment is built.
+    monkeypatch.setattr(haar, "MOMENT_BYTES", 10 ** 6)
+    e = designs.icosahedral_group()
+    assert designs.verify_strong_design(e, 3, strong=False,
+                                        frame_potential_mode="skip").passed
+    monkeypatch.setattr(haar, "mixed_moment",
+                        lambda *a, **k: pytest.fail("a moment was built"))
+    with pytest.raises(ValueError, match="d = 2, t = 4 needs 1,540,096 bytes"):
+        designs.verify_strong_design(e, 4, strong=False)
+    with pytest.raises(ValueError, match="d = 2, t = 4"):
+        haar.haar_moment_projector(2, 4)
+
+
 def test_report_json_keys():
     report = designs.verify_strong_design(designs.w1(2), 2, tol=1e-14)
     doc = report.to_json_dict()

@@ -71,6 +71,17 @@ def test_config_verify_design_flag():
                     verify_design=True)
 
 
+def test_config_verify_design_over_budget():
+    # certifying a two-qubit design at t = 4 needs a 65536^2 moment: refused
+    # at once, whatever the design's size
+    one = designs.UnitaryEnsemble(d=4, kind="explicit",
+                                  elements=np.eye(4, dtype=complex)[None])
+    zz = np.kron(Z, Z)
+    with pytest.raises(ValueError, match="d = 4, t = 4 needs"):
+        base_config(design=one, noise=channels.noise2_model(0.01, 0.5),
+                    o_ini=zz, o_meas=zz, verify_design=True)
+
+
 def test_decay_curve_roundtrip(tmp_path):
     curve = rb.DecayCurve(points=((1, 0.5, 0.01, 100, 50),
                                   (4, 0.25, 0.008, 100, 50)))
@@ -443,6 +454,50 @@ def test_fit_flags_tiny_gap():
     curve = synth_curve(MS, [0.5, 0.5], [0.95, 0.95 - 1e-6])
     fit = rb.fit_exponentials(curve, 2)
     assert "ill_conditioned" in fit.flags
+
+
+def test_fit_flags_unidentifiable_term():
+    # A second free term on a one-exponential curve has no amplitude, so its
+    # rate is arbitrary: the rates stay far apart and the Jacobian's
+    # condition number raises the flag.
+    fit = rb.fit_exponentials(synth_curve(MS, [0.7], [0.93]), 2)
+    assert abs(fit.rates[0] - 0.93) < 1e-9
+    assert abs(fit.rates[0] - fit.rates[1]) > rb.GAP_TOL
+    assert fit.flags == ("ill_conditioned",)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fit_round_trip(data):
+    # Noiseless curves with 1-2 free rates in [0.5, 0.999] and 0-1 pinned
+    # rates, pairwise gaps >= 0.02 and |amplitudes| >= 0.05: the fit returns
+    # the rates and amplitudes it was built from, unflagged.
+    n_free = data.draw(st.integers(1, 2), label="n_free")
+    n_pinned = data.draw(st.integers(0, 1), label="n_pinned")
+    rates = data.draw(st.lists(
+        st.floats(0.5, 0.999), min_size=n_free + n_pinned,
+        max_size=n_free + n_pinned).filter(
+            lambda rs: all(abs(a - b) >= 0.02
+                           for i, a in enumerate(rs) for b in rs[i + 1:])),
+        label="rates")
+    amps = [data.draw(st.floats(0.05, 1.0), label="|amplitude|")
+            * data.draw(st.sampled_from([1.0, -1.0]), label="sign")
+            for _ in rates]
+    fit = rb.fit_exponentials(synth_curve(MS, amps, rates), len(rates),
+                              known_rates=rates[:n_pinned])
+    order = n_pinned + np.argsort(rates[n_pinned:])[::-1]
+    idx = list(range(n_pinned)) + list(order)
+    assert fit.flags == ()
+    assert np.abs(np.array(fit.rates) - np.array(rates)[idx]).max() < 1e-7
+    assert np.abs(np.array(fit.amplitudes) - np.array(amps)[idx]).max() < 1e-6
+
+
+def test_fit_more_free_rates_than_start_grid():
+    n = len(rb._START_GRID) + 1
+    ms = tuple(range(1, 2 * n + 2))
+    fit = rb.fit_exponentials(synth_curve(ms, [0.8], [0.9]), n)
+    assert len(fit.rates) == n
+    assert fit.residual_norm < 1e-6
 
 
 def test_fit_requires_enough_points():
