@@ -98,9 +98,6 @@ class KrausChannel:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return sum(k @ rho @ k.conj().T for k in self.kraus_ops)
 
-    def apply_adjoint(self, rho: np.ndarray) -> np.ndarray:
-        return sum(k.conj().T @ rho @ k for k in self.kraus_ops)
-
     def to_ptm(self) -> PTM:
         return ptm_from_kraus(self)
 

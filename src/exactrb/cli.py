@@ -217,16 +217,6 @@ def cmd_design_sample(args, argv) -> int:
     return EXIT_PASS
 
 
-def _named_or_matrix(doc, q):
-    import numpy as np
-
-    from . import paulis
-
-    if isinstance(doc, str):
-        return paulis.named_operator(doc)
-    return np.array([[complex(c[0], c[1]) for c in row] for row in doc])
-
-
 def _estimates_json(est) -> dict:
     return {
         "f": est.f, "F": est.F, "u": est.u, "h": est.h, "H": est.H,

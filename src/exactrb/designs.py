@@ -28,6 +28,8 @@ from . import haar, numerics, zonal
 
 PHASE_TOL = 1e-8
 ROUND_DECIMALS = 7
+# elements of one BFS level multiplied by the generators in one stacked matmul
+CLOSURE_CHUNK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -130,32 +132,54 @@ class UnitaryEnsemble:
         """
         if self.kind != "explicit":
             raise ValueError("dedup applies to explicit ensembles")
-        seen = {}
-        keep = []
-        for i, u in enumerate(self.elements):
-            c = _canonical_phase(u) if mod_phase else u
-            k = _round_key(c)
-            if k not in seen:
-                seen[k] = i
-                keep.append(c if mod_phase else u)
-        return UnitaryEnsemble(d=self.d, kind="explicit", elements=np.array(keep))
+        elems = _canonical_phases(self.elements) if mod_phase else self.elements
+        keep = _first_seen(_round_keys(elems), set())
+        return UnitaryEnsemble(d=self.d, kind="explicit", elements=elems[keep])
+
+
+def _canonical_phases(stack: np.ndarray) -> np.ndarray:
+    """Divide each matrix of an (n, d, d) stack by the phase of its first
+    entry above PHASE_TOL in magnitude; matrices without one are copied.
+
+    The phase is z / hypot(z): np.hypot rounds like the scalar abs(z),
+    while np.abs on a complex array can differ from it in the last bit.
+    """
+    flat = stack.reshape(len(stack), -1)
+    above = np.abs(flat) > PHASE_TOL
+    rows = np.flatnonzero(above.any(axis=1))
+    z = flat[rows, above[rows].argmax(axis=1)]
+    out = stack.copy()
+    out[rows] = stack[rows] / (z / np.hypot(z.real, z.imag))[:, None, None]
+    return out
+
+
+def _round_keys(stack: np.ndarray) -> list[bytes]:
+    """Hash keys of an (n, d, d) stack: real then imaginary parts rounded to
+    ROUND_DECIMALS, negative zeros cleared, one bytes object per matrix."""
+    n = len(stack)
+    parts = np.round(np.concatenate([stack.real.reshape(n, -1),
+                                     stack.imag.reshape(n, -1)], axis=1), ROUND_DECIMALS)
+    parts[parts == 0.0] = 0.0
+    return parts.view(np.dtype((np.void, parts.itemsize * parts.shape[1]))).ravel().tolist()
+
+
+def _first_seen(keys: list[bytes], seen: set[bytes]) -> np.ndarray:
+    """Mask of the keys not in ``seen`` and not repeated earlier in ``keys``;
+    adds them to ``seen``."""
+    fresh = np.zeros(len(keys), dtype=bool)
+    for i, k in enumerate(keys):
+        if k not in seen:
+            seen.add(k)
+            fresh[i] = True
+    return fresh
 
 
 def _canonical_phase(u: np.ndarray) -> np.ndarray:
-    flat = u.reshape(-1)
-    idx = np.flatnonzero(np.abs(flat) > PHASE_TOL)
-    if len(idx) == 0:
-        return u.copy()
-    phase = flat[idx[0]] / abs(flat[idx[0]])
-    return u / phase
+    return _canonical_phases(u[None])[0]
 
 
 def _round_key(u: np.ndarray) -> bytes:
-    re = np.round(u.real, ROUND_DECIMALS)
-    im = np.round(u.imag, ROUND_DECIMALS)
-    re[re == 0.0] = 0.0
-    im[im == 0.0] = 0.0
-    return re.tobytes() + im.tobytes()
+    return _round_keys(u[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,31 +299,30 @@ def build_qudit_design(d: int, t: int, cap: int = 10 ** 7) -> UnitaryEnsemble:
 def _closure(generators: Sequence[np.ndarray], d: int, max_products: int) -> np.ndarray:
     """Group closure under right multiplication, projective representatives.
 
-    Elements are kept modulo global phase via canonical-phase hashing; the
-    BFS order makes the output deterministic.
+    Breadth-first: each level's elements times every generator, in
+    (element, generator) order, CLOSURE_CHUNK elements per stacked matmul.
+    Elements are kept modulo global phase via canonical-phase hashing, so
+    the output is deterministic and equals the one-product-at-a-time loop
+    bit for bit.
     """
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    first = _canonical_phase(np.eye(d, dtype=complex))
-    elems = [first]
-    seen = {_round_key(first): 0}
-    frontier = [0]
+    gens = np.array(generators, dtype=complex)
+    level = _canonical_phases(np.eye(d, dtype=complex)[None])
+    seen = set(_round_keys(level))
+    levels = []
     products = 0
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g in gens:
-                products += 1
-                if products > max_products:
-                    raise RuntimeError(
-                        f"group closure did not terminate within {max_products} products")
-                cand = _canonical_phase(elems[i] @ g)
-                key = _round_key(cand)
-                if key not in seen:
-                    seen[key] = len(elems)
-                    elems.append(cand)
-                    nxt.append(len(elems) - 1)
-        frontier = nxt
-    return np.array(elems)
+    while len(level):
+        levels.append(level)
+        products += len(level) * len(gens)
+        if products > max_products:
+            raise RuntimeError(
+                f"group closure did not terminate within {max_products} products")
+        fresh = []
+        for start in range(0, len(level), CLOSURE_CHUNK):
+            cand = np.matmul(level[start:start + CLOSURE_CHUNK, None], gens).reshape(-1, d, d)
+            cand = _canonical_phases(cand)
+            fresh.append(cand[_first_seen(_round_keys(cand), seen)])
+        level = np.concatenate(fresh)
+    return np.concatenate(levels)
 
 
 def icosahedral_group() -> UnitaryEnsemble:
@@ -588,14 +611,16 @@ def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
 def _moment_stderr(stack: np.ndarray, r: int, s: int, mean: np.ndarray) -> float:
     """Aggregate standard error sqrt(sum_entries var / n) of a sampled moment.
 
-    Uses a second pass over chunks to accumulate per-entry second moments.
+    Uses a second pass over chunks of ``haar.sample_chunk`` rows to
+    accumulate per-entry second moments.
     """
     n = stack.shape[0]
     if n < 2:
         return float("inf")
     sq = np.zeros(mean.shape, dtype=float)
-    for start in range(0, n, haar.CHUNK):
-        part = stack[start:start + haar.CHUNK]
+    rows = haar.sample_chunk(mean.size)
+    for start in range(0, n, rows):
+        part = stack[start:start + rows]
         kr = haar._kron_power(part, r)
         ks = haar._kron_power(part.conj(), s)
         prod = np.einsum("nab,ncd->nacbd", kr, ks).reshape(part.shape[0], *mean.shape)

@@ -103,17 +103,27 @@ def check_moment_budget(d: int, t: int, n: int = 0, per_sample: bool = False,
     and the bytes.
 
     Counted are the d^(2t)-side complex matrix, the two Kronecker powers of
-    one chunk of at most CHUNK unitaries and, with per_sample, that chunk's
-    per-unitary products, which a sampled moment's standard error builds.
+    one chunk of at most CHUNK unitaries and, with per_sample, the
+    per-unitary products of one chunk of :func:`sample_chunk` rows, which a
+    sampled moment's standard error builds.
     """
     side = d ** (2 * t)
     rows = min(n, CHUNK)
-    need = 16 * (side ** 2 + 2 * rows * side + (rows * side ** 2 if per_sample else 0))
+    sample_rows = min(n, sample_chunk(side ** 2)) if per_sample else 0
+    need = 16 * (side ** 2 + 2 * rows * side + sample_rows * side ** 2)
     cap = MOMENT_BYTES if cap is None else cap
     if need > cap:
         raise ValueError(
             f"the dense moment at d = {d}, t = {t} needs {need:,} bytes, "
             f"over the {cap:,}-byte budget")
+
+
+def sample_chunk(entries: int) -> int:
+    """Rows per chunk of per-sample moment products with ``entries`` complex
+    entries each, which a sampled moment's standard error builds: CHUNK, or
+    fewer so one chunk fits a sixteenth of MOMENT_BYTES (64 MiB, 639 rows
+    at d = 3, t = 2)."""
+    return max(1, min(CHUNK, MOMENT_BYTES // 16 // (16 * entries)))
 
 
 def haar_moment_projector(d: int, t: int, cap: int | None = None) -> MomentOperator:

@@ -36,9 +36,6 @@ class IrrepProjectorSet:
     def labels(self) -> tuple:
         return tuple(self.projectors.keys())
 
-    def sum_matrix(self) -> np.ndarray:
-        return sum(self.projectors.values())
-
 
 def _basis_vec2(n: int, m: int, dim: int) -> np.ndarray:
     v = np.zeros(dim * dim)

@@ -2,9 +2,10 @@
 
 Matrices are plain numpy arrays: ``complex128`` for unitaries and Hermitian
 operators, ``float64`` for transfer matrices and Gram matrices.  Everything
-here is pure and deterministic; reductions that back averaged quantities go
-through :func:`chunked_sum`, which fixes the accumulation order so results do
-not depend on how the caller parallelizes.
+here is pure and deterministic.  :func:`chunked_sum` sums in fixed-size
+chunks in index order.  The package's averaged reductions (Haar moments,
+frame potentials) do not call it; each fixes its own chunk boundaries from
+the input shape.
 """
 
 from __future__ import annotations

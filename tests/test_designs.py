@@ -2,8 +2,72 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from exactrb import designs, haar, numerics, zonal
+
+
+# The one-product-at-a-time closure that designs._closure replaced, kept
+# verbatim as the reference its elements and their order must equal.
+
+def _reference_canonical_phase(u):
+    flat = u.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > designs.PHASE_TOL)
+    if len(idx) == 0:
+        return u.copy()
+    phase = flat[idx[0]] / abs(flat[idx[0]])
+    return u / phase
+
+
+def _reference_round_key(u):
+    re = np.round(u.real, designs.ROUND_DECIMALS)
+    im = np.round(u.imag, designs.ROUND_DECIMALS)
+    re[re == 0.0] = 0.0
+    im[im == 0.0] = 0.0
+    return re.tobytes() + im.tobytes()
+
+
+def _reference_closure(generators, d, max_products):
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    first = _reference_canonical_phase(np.eye(d, dtype=complex))
+    elems = [first]
+    seen = {_reference_round_key(first): 0}
+    frontier = [0]
+    products = 0
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for g in gens:
+                products += 1
+                if products > max_products:
+                    raise RuntimeError(
+                        f"group closure did not terminate within {max_products} products")
+                cand = _reference_canonical_phase(elems[i] @ g)
+                key = _reference_round_key(cand)
+                if key not in seen:
+                    seen[key] = len(elems)
+                    elems.append(cand)
+                    nxt.append(len(elems) - 1)
+        frontier = nxt
+    return np.array(elems)
+
+
+def _closure_args(monkeypatch, build):
+    """The (generators, d, max_products) that ``build`` passes to _closure."""
+    calls = []
+    closure = designs._closure
+
+    def spy(generators, d, max_products):
+        calls.append((generators, d, max_products))
+        return closure(generators, d, max_products)
+
+    monkeypatch.setattr(designs, "_closure", spy)
+    build()
+    monkeypatch.setattr(designs, "_closure", closure)
+    (args,) = calls
+    return args
 
 
 def test_explicit_ensemble_rejects_non_unitary():
@@ -95,6 +159,74 @@ def test_icosahedral_group_basics():
         assert designs._round_key(prod) in keys
 
 
+GROUPS = {
+    "clifford1": lambda: designs.clifford_group(1),
+    "icosahedral": designs.icosahedral_group,
+    "clifford2": lambda: designs.clifford_group(2),
+}
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_closure_matches_reference_bit_for_bit(monkeypatch, name):
+    build = GROUPS[name]
+    gens, d, max_products = _closure_args(monkeypatch, build)
+    ref = _reference_closure(gens, d, max_products)
+    chunks = [designs.CLOSURE_CHUNK] + ([3] if name != "clifford2" else [])
+    for chunk in chunks:
+        # chunk 3 splits every level and leaves duplicates inside a chunk
+        monkeypatch.setattr(designs, "CLOSURE_CHUNK", chunk)
+        out = designs._closure(gens, d, max_products)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+    assert build().elements.tobytes() == ref.tobytes()
+
+
+def test_closure_product_guard(monkeypatch):
+    # diag(1, e^i) has infinite order: the closure never terminates
+    gen = np.diag([1.0, np.exp(1j)])
+    for closure in (designs._closure, _reference_closure):
+        with pytest.raises(RuntimeError,
+                           match="did not terminate within 50 products"):
+            closure([gen], 2, max_products=50)
+    # the Clifford group C1 needs exactly 24 * 2 products: one fewer raises
+    gens, d, _ = _closure_args(monkeypatch, lambda: designs.clifford_group(1))
+    assert len(designs._closure(gens, d, max_products=48)) == 24
+    with pytest.raises(RuntimeError, match="within 47 products"):
+        designs._closure(gens, d, max_products=47)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stacked_phase_and_keys_match_per_matrix(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    n = data.draw(st.integers(1, 6), label="n")
+    stack = data.draw(hnp.arrays(np.complex128, (n, d, d), elements=st.complex_numbers(
+        max_magnitude=4.0, allow_nan=False, allow_infinity=False)), label="stack")
+    # push leading entries below, onto and just above PHASE_TOL
+    lead = data.draw(st.integers(0, d * d), label="lead")
+    scale = data.draw(st.sampled_from([0.0, 1e-12, 1e-9, designs.PHASE_TOL,
+                                       1.0000001 * designs.PHASE_TOL]), label="scale")
+    flat = stack.reshape(n, -1)
+    flat[:, :lead] *= scale / np.maximum(np.abs(flat[:, :lead]), 1e-300)
+    # repeat a matrix, as is and up to phase, so the stack holds duplicates
+    if n > 2:
+        stack[-1] = stack[0]
+        stack[-2] = np.exp(0.3j) * stack[0]
+    phased = designs._canonical_phases(stack)
+    ref = np.array([_reference_canonical_phase(u) for u in stack])
+    assert phased.tobytes() == ref.tobytes()
+    for u, c in zip(stack, ref):
+        assert designs._canonical_phase(u).tobytes() == c.tobytes()
+    keys = designs._round_keys(phased)
+    assert keys == [_reference_round_key(c) for c in ref]
+    assert [designs._round_key(c) for c in phased] == keys
+    first = {}
+    for i, k in enumerate(keys):
+        first.setdefault(k, i)
+    fresh = designs._first_seen(keys, set())
+    assert np.flatnonzero(fresh).tolist() == sorted(first.values())
+
+
 def test_icosahedral_is_two_design():
     e = designs.icosahedral_group()
     report = designs.verify_strong_design(e, 2, tol=1e-10, strong=False)
@@ -176,6 +308,19 @@ def test_verify_refuses_moments_over_budget(monkeypatch):
         designs.verify_strong_design(e, 4, strong=False)
     with pytest.raises(ValueError, match="d = 2, t = 4"):
         haar.haar_moment_projector(2, 4)
+
+
+def test_sampled_verify_at_d4_t2_beyond_one_product_chunk():
+    # per-sample (2, 2) products at d = 4 take 1 MiB each: the standard
+    # error builds them in chunks of 64 rows, so 1,100 samples fit the budget
+    assert haar.sample_chunk(4 ** 8) == 64
+    # d = 3, t = 2 keeps 200 samples in one chunk
+    assert haar.sample_chunk(3 ** 8) >= 200
+    report = designs.verify_strong_design(
+        designs.interleaved_clifford_design(), 2, mc_samples=1100, strong=False,
+        frame_potential_mode="skip")
+    assert report.mode == "mc"
+    assert report.passed
 
 
 def test_report_json_keys():
