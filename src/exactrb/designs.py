@@ -142,7 +142,7 @@ def _canonical_phases(stack: np.ndarray) -> np.ndarray:
     entry above PHASE_TOL in magnitude; matrices without one are copied.
 
     The phase is z / hypot(z): np.hypot rounds like the scalar abs(z),
-    while np.abs on a complex array can differ from it in the last bit.
+    while np.abs on a complex array can differ from it in the last bits.
     """
     flat = stack.reshape(len(stack), -1)
     above = np.abs(flat) > PHASE_TOL
