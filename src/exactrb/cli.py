@@ -152,14 +152,9 @@ def cmd_design_build(args, argv) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print("construction failed: %s" % exc, file=sys.stderr)
         return EXIT_CONSTRUCTION
-    designs.save_design(ensemble, args.out)
     man = _manifest(argv, _sha256_args({k: str(v) for k, v in design_doc.items()}),
                     None, [args.out])
-    with open(args.out) as fh:
-        doc = json.load(fh)
-    doc["manifest_digest"] = man.digest()
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+    designs.save_design(ensemble, args.out, extra={"manifest_digest": man.digest()})
     man.write(args.out + ".manifest.json")
     print("wrote %s (%d elements)" % (args.out, ensemble.size))
     return EXIT_PASS

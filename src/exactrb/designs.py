@@ -561,39 +561,32 @@ def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
     ensembles whose stored representatives carry no phases.  Explicit
     ensembles are averaged exactly and compared at ``tol``; product
     ensembles are sampled ``mc_samples`` times and compared at three
-    standard errors.
+    standard errors.  ``frame_potential_mode`` "auto" adds the frame
+    potential at order t and "skip" leaves it out.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    if frame_potential_mode not in ("auto", "skip"):
+        raise ValueError(f"unknown frame_potential_mode {frame_potential_mode!r}")
     pairs = [(r, s) for r in range(t + 1) for s in range(t + 1)
              if strong or r == s]
     exact = e.kind == "explicit" and mc_samples is None
     if not exact and not mc_samples:
         raise ValueError("product ensembles require mc_samples")
     # the (t, t) moment is the largest; refuse before building any
-    haar.check_moment_budget(e.d, t, e.size if exact else mc_samples,
-                             per_sample=not exact)
-    if exact:
-        stack = e.elements
-        residuals = {}
-        for r, s in pairs:
-            avg = haar.mixed_moment(stack, r, s)
-            residuals[(r, s)] = float(np.linalg.norm(avg - _haar_reference(e.d, r, s)))
-        stderrs = None
-        passed = all(v <= tol for v in residuals.values())
-        mode = "exact"
-    else:
-        rng = np.random.default_rng(seed)
-        stack = e.sample(rng, mc_samples)
-        residuals = {}
-        stderrs = {}
-        for r, s in pairs:
-            avg = haar.mixed_moment(stack, r, s)
-            ref = _haar_reference(e.d, r, s)
-            residuals[(r, s)] = float(np.linalg.norm(avg - ref))
+    haar.check_moment_budget(e.d, t, e.size if exact else mc_samples)
+    stack = e.elements if exact else e.sample(np.random.default_rng(seed), mc_samples)
+    residuals = {}
+    stderrs = None if exact else {}
+    for r, s in pairs:
+        avg = haar.mixed_moment(stack, r, s)
+        residuals[(r, s)] = float(np.linalg.norm(avg - _haar_reference(e.d, r, s)))
+        if not exact:
             stderrs[(r, s)] = _moment_stderr(stack, r, s, avg)
+    if exact:
+        passed = all(v <= tol for v in residuals.values())
+    else:
         passed = all(residuals[p] <= max(3.0 * stderrs[p], 1e-14) for p in residuals)
-        mode = "mc"
     fp = fp_se = haar_fp = None
     if frame_potential_mode != "skip":
         haar_fp = haar.haar_frame_potential(e.d, t)
@@ -602,8 +595,8 @@ def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
         else:
             fp, fp_se = frame_potential(e, t, mode="mc", seed=seed + 1,
                                         samples=mc_samples or 10_000)
-    return DesignReport(d=e.d, t_checked=t, strong=strong, mode=mode, tol=tol,
-                        residuals=residuals, stderrs=stderrs, frame_potential=fp,
+    return DesignReport(d=e.d, t_checked=t, strong=strong, mode="exact" if exact else "mc",
+                        tol=tol, residuals=residuals, stderrs=stderrs, frame_potential=fp,
                         frame_potential_stderr=fp_se, haar_frame_potential=haar_fp,
                         passed=passed)
 
@@ -611,23 +604,17 @@ def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
 def _moment_stderr(stack: np.ndarray, r: int, s: int, mean: np.ndarray) -> float:
     """Aggregate standard error sqrt(sum_entries var / n) of a sampled moment.
 
-    Uses a second pass over chunks of ``haar.sample_chunk`` rows to
-    accumulate per-entry second moments.
+    The sample of U^(x r) (x) conj(U)^(x s) has squared Frobenius norm
+    ||U||_F^(2 (r + s)), since ||A (x) B||_F = ||A||_F ||B||_F, so the
+    per-entry second moments sum to the mean of that power and no
+    per-sample product is built.
     """
     n = stack.shape[0]
     if n < 2:
         return float("inf")
-    sq = np.zeros(mean.shape, dtype=float)
-    rows = haar.sample_chunk(mean.size)
-    for start in range(0, n, rows):
-        part = stack[start:start + rows]
-        kr = haar._kron_power(part, r)
-        ks = haar._kron_power(part.conj(), s)
-        prod = np.einsum("nab,ncd->nacbd", kr, ks).reshape(part.shape[0], *mean.shape)
-        sq += (np.abs(prod) ** 2).sum(axis=0)
-    var = sq / n - np.abs(mean) ** 2
-    var = np.clip(var, 0.0, None)
-    return float(np.sqrt(var.sum() / n))
+    norms = (np.abs(stack) ** 2).sum(axis=(1, 2))
+    var = np.mean(norms ** (r + s)) - (np.abs(mean) ** 2).sum()
+    return float(np.sqrt(max(var, 0.0) / n))
 
 
 def frame_potential(e: UnitaryEnsemble, t: int, mode: str = "exact-pairs",
@@ -650,12 +637,7 @@ def frame_potential(e: UnitaryEnsemble, t: int, mode: str = "exact-pairs",
         if n * n > 1_000_000_000:
             raise ValueError("pair count exceeds 1e9; use mode='mc'")
         flat = e.elements.reshape(n, -1)
-        total = 0.0
-        chunk = max(1, 2 ** 22 // max(n, 1))
-        for start in range(0, n, chunk):
-            tr = flat[start:start + chunk].conj() @ flat.T
-            total += (np.abs(tr) ** (2 * t)).sum()
-        return total / (n * n), None
+        return _trace_power_sum(flat.conj(), flat, t) / (n * n), None
     if mode == "interleaved-reduced":
         layers = e.layers if e.kind == "product" else None
         ok = (layers is not None and len(layers) == 3
@@ -669,12 +651,7 @@ def frame_potential(e: UnitaryEnsemble, t: int, mode: str = "exact-pairs",
         n = group.shape[0]
         conj_flat = np.einsum("ba,nbc,cd->nad", uc.conj().T, group, uc).reshape(n, -1)
         right_flat = group.transpose(0, 2, 1).reshape(n, -1)
-        total = 0.0
-        chunk = max(1, 2 ** 22 // max(n, 1))
-        for start in range(0, n, chunk):
-            tr = conj_flat[start:start + chunk] @ right_flat.T
-            total += (np.abs(tr) ** (2 * t)).sum()
-        return total / (n * n), None
+        return _trace_power_sum(conj_flat, right_flat, t) / (n * n), None
     if mode == "mc":
         rng = np.random.default_rng(seed)
         u = e.sample(rng, samples)
@@ -682,6 +659,17 @@ def frame_potential(e: UnitaryEnsemble, t: int, mode: str = "exact-pairs",
         vals = np.abs(np.einsum("nab,nab->n", u.conj(), v)) ** (2 * t)
         return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _trace_power_sum(left: np.ndarray, right: np.ndarray, t: int) -> float:
+    """Sum over all row pairs (i, j) of |left_i . right_j|^(2t), one GEMM
+    tile of at most 2^22 entries at a time."""
+    total = 0.0
+    chunk = max(1, 2 ** 22 // max(len(right), 1))
+    for start in range(0, len(left), chunk):
+        tr = left[start:start + chunk] @ right.T
+        total += (np.abs(tr) ** (2 * t)).sum()
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -96,34 +96,21 @@ def _gram_pinv(d: int, t: int) -> tuple[np.ndarray, int]:
     return numerics.pinv_psd(_gram(d, t))
 
 
-def check_moment_budget(d: int, t: int, n: int = 0, per_sample: bool = False,
-                        cap: int | None = None) -> None:
+def check_moment_budget(d: int, t: int, n: int = 0, cap: int | None = None) -> None:
     """Refuse a dense (t, t) moment of n unitaries on U(d) that needs more
     than cap bytes (default MOMENT_BYTES), with a ValueError naming d, t
     and the bytes.
 
-    Counted are the d^(2t)-side complex matrix, the two Kronecker powers of
-    one chunk of at most CHUNK unitaries and, with per_sample, the
-    per-unitary products of one chunk of :func:`sample_chunk` rows, which a
-    sampled moment's standard error builds.
+    Counted are the d^(2t)-side complex matrix and the two Kronecker powers
+    of one chunk of at most CHUNK unitaries.
     """
     side = d ** (2 * t)
-    rows = min(n, CHUNK)
-    sample_rows = min(n, sample_chunk(side ** 2)) if per_sample else 0
-    need = 16 * (side ** 2 + 2 * rows * side + sample_rows * side ** 2)
+    need = 16 * (side ** 2 + 2 * min(n, CHUNK) * side)
     cap = MOMENT_BYTES if cap is None else cap
     if need > cap:
         raise ValueError(
             f"the dense moment at d = {d}, t = {t} needs {need:,} bytes, "
             f"over the {cap:,}-byte budget")
-
-
-def sample_chunk(entries: int) -> int:
-    """Rows per chunk of per-sample moment products with ``entries`` complex
-    entries each, which a sampled moment's standard error builds: CHUNK, or
-    fewer so one chunk fits a sixteenth of MOMENT_BYTES (64 MiB, 639 rows
-    at d = 3, t = 2)."""
-    return max(1, min(CHUNK, MOMENT_BYTES // 16 // (16 * entries)))
 
 
 def haar_moment_projector(d: int, t: int, cap: int | None = None) -> MomentOperator:
@@ -200,24 +187,28 @@ def haar_twirl_ptm2(x: np.ndarray, d: int) -> np.ndarray:
     return out.real
 
 
-def mixed_moment(stack: np.ndarray, r: int, s: int, chunk: int = CHUNK) -> np.ndarray:
+def mixed_moment(stack: np.ndarray, r: int, s: int) -> np.ndarray:
     """Ensemble average of U^(x r) (x) conj(U)^(x s) over a stack of unitaries.
 
     Returns a d^(r+s) square matrix (a 1 x 1 matrix holding 1.0 when
-    r = s = 0).  Accumulation order is fixed by ``chunk``.
+    r = s = 0).  Each chunk of CHUNK unitaries adds one GEMM of its
+    flattened Kronecker powers, so the accumulation order depends only on
+    the stack's length.
     """
     stack = np.asarray(stack)
     n, d = stack.shape[0], stack.shape[1]
     if r == 0 and s == 0:
         return np.ones((1, 1), dtype=complex)
-    out_dim = d ** (r + s)
-    total = np.zeros((out_dim, out_dim), dtype=complex)
-    for start in range(0, n, chunk):
-        part = stack[start:start + chunk]
-        kr = _kron_power(part, r)
-        ks = _kron_power(part.conj(), s)
-        total += np.einsum("nab,ncd->acbd", kr, ks).reshape(out_dim, out_dim)
-    return total / n
+    dr, ds = d ** r, d ** s
+    total = np.zeros((dr * dr, ds * ds), dtype=complex)
+    for start in range(0, n, CHUNK):
+        part = stack[start:start + CHUNK]
+        kr = _kron_power(part, r).reshape(len(part), -1)
+        ks = _kron_power(part.conj(), s).reshape(len(part), -1)
+        total += kr.T @ ks
+    total /= n
+    # rows (a, b) of U^(x r), columns (c, d) of conj(U)^(x s) -> (a c, b d)
+    return total.reshape(dr, dr, ds, ds).transpose(0, 2, 1, 3).reshape(dr * ds, dr * ds)
 
 
 def _kron_power(stack: np.ndarray, k: int) -> np.ndarray:

@@ -2,10 +2,8 @@
 
 Matrices are plain numpy arrays: ``complex128`` for unitaries and Hermitian
 operators, ``float64`` for transfer matrices and Gram matrices.  Everything
-here is pure and deterministic.  :func:`chunked_sum` sums in fixed-size
-chunks in index order.  The package's averaged reductions (Haar moments,
-frame potentials) do not call it; each fixes its own chunk boundaries from
-the input shape.
+here is pure and deterministic: the matrix exponential, the PSD
+pseudoinverse with its rank, and seeded Haar-random unitaries.
 """
 
 from __future__ import annotations
@@ -29,34 +27,10 @@ def _require_finite(a: np.ndarray, name: str = "result") -> np.ndarray:
     return a
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the row-major index convention.
-
-    With this convention ``kron(A, B) @ vec(X) == vec(A @ X @ B.T)`` where
-    ``vec`` is row-major flattening (`numpy` ``reshape(-1)``).
-    """
-    return _require_finite(np.kron(np.asarray(a), np.asarray(b)), "kron")
-
-
 def matexp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential e^A via scaling-and-squaring with Pade approximant."""
     a = _require_square(a)
     return _require_finite(scipy.linalg.expm(a), "matexp")
-
-
-def eig_hermitian(a: np.ndarray, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(vals, vecs)`` with eigenvalues ascending and orthonormal
-    eigenvector columns.  Raises if ``a`` deviates from Hermiticity by more
-    than ``herm_tol`` in Frobenius norm.
-    """
-    a = _require_square(a)
-    dev = np.linalg.norm(a - a.conj().T)
-    if dev > herm_tol:
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
-    vals, vecs = np.linalg.eigh(a)
-    return _require_finite(vals, "eigenvalues"), _require_finite(vecs, "eigenvectors")
 
 
 def pinv_psd(g: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, int]:
@@ -79,23 +53,6 @@ def pinv_psd(g: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndar
     inv_vals[keep] = 1.0 / vals[keep]
     pinv = (vecs * inv_vals) @ vecs.conj().T
     return _require_finite(pinv, "pinv"), rank
-
-
-def chunked_sum(stack: np.ndarray, axis: int = 0, chunk: int = 4096) -> np.ndarray:
-    """Sum along ``axis`` in fixed-size chunks accumulated in index order.
-
-    The chunk boundaries depend only on the array shape, so the floating
-    point result is identical no matter how many threads the BLAS uses.
-    """
-    stack = np.asarray(stack)
-    n = stack.shape[axis]
-    if n == 0:
-        return np.zeros(stack.shape[:axis] + stack.shape[axis + 1:], dtype=stack.dtype)
-    moved = np.moveaxis(stack, axis, 0)
-    total = np.zeros(moved.shape[1:], dtype=moved.dtype)
-    for start in range(0, n, chunk):
-        total += moved[start:start + chunk].sum(axis=0)
-    return total
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

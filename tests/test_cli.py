@@ -25,6 +25,9 @@ def test_design_build_w1(tmp_path):
     assert e.size == 5
     doc = read_json(out)
     assert len(doc["manifest_digest"]) == 64
+    # written once, with the trailing newline of every JSON artifact
+    assert out.read_bytes().endswith(b"}\n")
+    assert doc["manifest_digest"] == read_json(str(out) + ".manifest.json")["digest"]
 
 
 def test_design_build_unknown_type(tmp_path):

@@ -54,6 +54,68 @@ def _reference_closure(generators, d, max_products):
     return np.array(elems)
 
 
+# The einsum mixed moment and the per-sample standard error that
+# haar.mixed_moment and designs._moment_stderr replaced, kept verbatim as
+# the references the GEMM moment and the closed-form error must match.
+
+def _reference_kron_power(stack, k):
+    n, d = stack.shape[0], stack.shape[1]
+    if k == 0:
+        return np.ones((n, 1, 1), dtype=stack.dtype)
+    out = stack
+    dim = d
+    for _ in range(k - 1):
+        out = np.einsum("nab,ncd->nacbd", out, stack).reshape(n, dim * d, dim * d)
+        dim *= d
+    return out
+
+
+def _reference_mixed_moment(stack, r, s, chunk=2048):
+    stack = np.asarray(stack)
+    n, d = stack.shape[0], stack.shape[1]
+    if r == 0 and s == 0:
+        return np.ones((1, 1), dtype=complex)
+    out_dim = d ** (r + s)
+    total = np.zeros((out_dim, out_dim), dtype=complex)
+    for start in range(0, n, chunk):
+        part = stack[start:start + chunk]
+        kr = _reference_kron_power(part, r)
+        ks = _reference_kron_power(part.conj(), s)
+        total += np.einsum("nab,ncd->acbd", kr, ks).reshape(out_dim, out_dim)
+    return total / n
+
+
+def _reference_sample_chunk(entries):
+    return max(1, min(2048, 2 ** 30 // 16 // (16 * entries)))
+
+
+def _reference_moment_stderr(stack, r, s, mean):
+    n = stack.shape[0]
+    if n < 2:
+        return float("inf")
+    sq = np.zeros(mean.shape, dtype=float)
+    rows = _reference_sample_chunk(mean.size)
+    for start in range(0, n, rows):
+        part = stack[start:start + rows]
+        kr = _reference_kron_power(part, r)
+        ks = _reference_kron_power(part.conj(), s)
+        prod = np.einsum("nab,ncd->nacbd", kr, ks).reshape(part.shape[0], *mean.shape)
+        sq += (np.abs(prod) ** 2).sum(axis=0)
+    var = sq / n - np.abs(mean) ** 2
+    var = np.clip(var, 0.0, None)
+    return float(np.sqrt(var.sum() / n))
+
+
+def _assert_moments_match_reference(stack, r, s):
+    mean = haar.mixed_moment(stack, r, s)
+    ref = _reference_mixed_moment(stack, r, s)
+    assert mean.shape == ref.shape
+    assert np.abs(mean - ref).max() <= 1e-13
+    err = designs._moment_stderr(stack, r, s, mean)
+    ref_err = _reference_moment_stderr(stack, r, s, ref)
+    assert abs(err - ref_err) <= 1e-12 * ref_err
+
+
 def _closure_args(monkeypatch, build):
     """The (generators, d, max_products) that ``build`` passes to _closure."""
     calls = []
@@ -227,6 +289,31 @@ def test_stacked_phase_and_keys_match_per_matrix(data):
     assert np.flatnonzero(fresh).tolist() == sorted(first.values())
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 4), n=st.integers(2, 40), r=st.integers(0, 2),
+       s=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_moment_and_stderr_match_reference(d, n, r, s, seed):
+    stack = numerics.haar_unitaries(d, n, np.random.default_rng(seed))
+    _assert_moments_match_reference(stack, r, s)
+
+
+def test_moment_and_stderr_match_reference_across_chunks(monkeypatch):
+    # 3-row chunks: a 10-unitary stack accumulates four GEMMs
+    monkeypatch.setattr(haar, "CHUNK", 3)
+    stack = numerics.haar_unitaries(3, 10, np.random.default_rng(11))
+    for r in range(3):
+        for s in range(3):
+            _assert_moments_match_reference(stack, r, s)
+    # an explicit design and its verdict through the chunked kernel
+    e = designs.build_qudit_design(2, 2)
+    report = designs.verify_strong_design(e, 2, frame_potential_mode="skip")
+    assert report.passed
+    for (r, s), v in report.residuals.items():
+        ref = np.linalg.norm(_reference_mixed_moment(e.elements, r, s)
+                             - designs._haar_reference(2, r, s))
+        assert abs(v - ref) <= 1e-13
+
+
 def test_icosahedral_is_two_design():
     e = designs.icosahedral_group()
     report = designs.verify_strong_design(e, 2, tol=1e-10, strong=False)
@@ -292,6 +379,10 @@ def test_verify_product_requires_samples():
     assert report.mode == "mc"
     assert report.stderrs is not None
     assert report.passed
+    # an unknown frame potential mode is refused, not run as "auto"
+    with pytest.raises(ValueError, match="frame_potential_mode 'bogus'"):
+        designs.verify_strong_design(e, 1, mc_samples=4000, strong=False,
+                                     frame_potential_mode="bogus")
 
 
 def test_verify_refuses_moments_over_budget(monkeypatch):
@@ -311,11 +402,8 @@ def test_verify_refuses_moments_over_budget(monkeypatch):
 
 
 def test_sampled_verify_at_d4_t2_beyond_one_product_chunk():
-    # per-sample (2, 2) products at d = 4 take 1 MiB each: the standard
-    # error builds them in chunks of 64 rows, so 1,100 samples fit the budget
-    assert haar.sample_chunk(4 ** 8) == 64
-    # d = 3, t = 2 keeps 200 samples in one chunk
-    assert haar.sample_chunk(3 ** 8) >= 200
+    # per-sample (2, 2) products at d = 4 would take 1 MiB each; the
+    # standard error needs none of them, so 1,100 samples fit the budget
     report = designs.verify_strong_design(
         designs.interleaved_clifford_design(), 2, mc_samples=1100, strong=False,
         frame_potential_mode="skip")

@@ -1,15 +1,8 @@
-"""Dense linear-algebra helpers: kron, matexp, Hermitian eig, PSD pinv."""
+"""Dense linear-algebra helpers: matexp, PSD pinv, Haar-random unitaries."""
 
 import numpy as np
-import pytest
 
 from exactrb import numerics
-
-
-def test_kron_matches_numpy(rng):
-    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    b = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-    assert np.allclose(numerics.kron(a, b), np.kron(a, b), atol=1e-14)
 
 
 def test_matexp_of_zero_is_identity():
@@ -29,20 +22,6 @@ def test_matexp_diagonal():
                        atol=1e-14)
 
 
-def test_eig_hermitian_reconstructs(rng):
-    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = (h + h.conj().T) / 2
-    vals, vecs = numerics.eig_hermitian(h)
-    assert np.abs((vecs * vals) @ vecs.conj().T - h).max() < 1e-12
-    assert np.all(np.diff(vals) >= 0)
-
-
-def test_eig_hermitian_rejects_non_hermitian(rng):
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    with pytest.raises(ValueError):
-        numerics.eig_hermitian(m)
-
-
 def test_pinv_psd_rank_and_inverse(rng):
     v = rng.standard_normal((7, 3))
     g = v @ v.T
@@ -55,12 +34,6 @@ def test_pinv_psd_identity():
     pinv, rank = numerics.pinv_psd(np.eye(5))
     assert rank == 5
     assert np.allclose(pinv, np.eye(5), atol=1e-14)
-
-
-def test_chunked_sum_matches_direct(rng):
-    stack = rng.standard_normal((1000, 3, 3))
-    out = numerics.chunked_sum(stack, chunk=7)
-    assert np.abs(out - stack.sum(axis=0)).max() < 1e-10
 
 
 def test_haar_unitary_is_unitary(rng):
