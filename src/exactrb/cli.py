@@ -466,6 +466,9 @@ def main(argv=None) -> int:
         if exc.code is None:
             return 0
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # the manifest records the command from its name on: the only global
+    # option, --threads, does not change any result
+    argv = argv[argv.index(args.cmd):]
 
     if args.cmd == "design":
         handler = {"build": cmd_design_build, "verify": cmd_design_verify,

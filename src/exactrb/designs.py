@@ -580,7 +580,9 @@ def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
     stderrs = None if exact else {}
     for r, s in pairs:
         avg = haar.mixed_moment(stack, r, s)
-        residuals[(r, s)] = float(np.linalg.norm(avg - _haar_reference(e.d, r, s)))
+        # numpy's sum, not np.linalg.norm: BLAS dot splits long sums by thread
+        diff = avg - _haar_reference(e.d, r, s)
+        residuals[(r, s)] = float(np.sqrt((np.abs(diff) ** 2).sum()))
         if not exact:
             stderrs[(r, s)] = _moment_stderr(stack, r, s, avg)
     if exact:

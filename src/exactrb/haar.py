@@ -29,7 +29,10 @@ MAX_T = 12
 # the Kronecker powers of one chunk of CHUNK unitaries.  1 GiB holds the
 # largest dense projector the acceptance suite builds (side 6,561).
 MOMENT_BYTES = 2 ** 30
-CHUNK = 2048
+# Rows per moment GEMM.  A GEMM whose inner dimension fits in one BLAS K
+# panel (128 rows for OpenBLAS's SkylakeX kernels) sums every entry in the
+# same order at any thread count; the chunks are then added in order.
+CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -192,8 +195,9 @@ def mixed_moment(stack: np.ndarray, r: int, s: int) -> np.ndarray:
 
     Returns a d^(r+s) square matrix (a 1 x 1 matrix holding 1.0 when
     r = s = 0).  Each chunk of CHUNK unitaries adds one GEMM of its
-    flattened Kronecker powers, so the accumulation order depends only on
-    the stack's length.
+    flattened Kronecker powers (a column sum when r or s is 0), so the
+    accumulation order depends only on the stack's length, not on the BLAS
+    thread count.
     """
     stack = np.asarray(stack)
     n, d = stack.shape[0], stack.shape[1]
@@ -205,7 +209,11 @@ def mixed_moment(stack: np.ndarray, r: int, s: int) -> np.ndarray:
         part = stack[start:start + CHUNK]
         kr = _kron_power(part, r).reshape(len(part), -1)
         ks = _kron_power(part.conj(), s).reshape(len(part), -1)
-        total += kr.T @ ks
+        if r == 0 or s == 0:
+            # against the all-ones power: numpy would hand this to gemv
+            total += (ks if r == 0 else kr).sum(axis=0).reshape(total.shape)
+        else:
+            total += kr.T @ ks
     total /= n
     # rows (a, b) of U^(x r), columns (c, d) of conj(U)^(x s) -> (a c, b d)
     return total.reshape(dr, dr, ds, ds).transpose(0, 2, 1, 3).reshape(dr * ds, dr * ds)

@@ -242,3 +242,33 @@ def test_threads_flag_sets_env(tmp_path, monkeypatch):
                "--t", "2", "--out", str(out)) == cli.EXIT_PASS
     import os
     assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+def test_sampled_verify_report_independent_of_threads(tmp_path):
+    # Each run is a fresh process, so --threads reaches the BLAS pool; with
+    # 500 samples the moment GEMM's inner dimension spans several BLAS K
+    # panels, where a single GEMM sums in a thread-dependent order.
+    import os
+    import subprocess
+    import sys
+
+    import exactrb
+    design = tmp_path / "q32.json"
+    assert run("design", "build", "--type", "qudit", "--d", "3", "--t", "2",
+               "--out", str(design)) == cli.EXIT_PASS
+    env = {k: v for k, v in os.environ.items()
+           if k not in cli._THREAD_ENV and k != "EXACTRB_THREADS"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(exactrb.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / ("threads" + threads)
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from exactrb.cli import main; sys.exit(main())",
+             "--threads", threads, "design", "verify", "--design", str(design), "--t", "2",
+             "--strong", "--mc-samples", "500", "--seed", "0", "--out", "report.json"],
+            cwd=cwd, env=env, capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_PASS, proc.stdout + proc.stderr
+        reports.append((cwd / "report.json").read_bytes())
+    assert reports[0] == reports[1]
