@@ -63,11 +63,17 @@ class PTM:
         return self.matrix @ vec
 
     def choi(self) -> np.ndarray:
-        """Choi state (E (x) id)(|Omega><Omega|), trace 1 for TP input."""
-        basis = paulis.pauli_basis(self.q)
-        j = np.einsum("mn,mab,ndc->acbd", self.matrix, basis, basis)
+        """Choi state (E (x) id)(|Omega><Omega|), trace 1 for TP input.
+
+        The change of basis of :func:`transfer_matrices` run backwards
+        gives the vec superoperator S = W L W^dag, with row-major
+        vec(E(X)) = S vec(X); swapping its middle indices reshuffles it
+        into the Choi matrix.
+        """
         dim = self.d
-        return j.reshape(dim * dim, dim * dim) / dim
+        w = paulis.vec_basis_matrix(dim)
+        s = (w @ self.matrix @ w.conj().T).reshape(dim, dim, dim, dim)
+        return s.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim) / dim
 
     def is_cp(self, tol: float = 1e-10) -> bool:
         vals = np.linalg.eigvalsh(self.choi())
@@ -118,17 +124,38 @@ class MetricSet:
                 "H": self.H, "alpha_norm_sq": self.alpha_norm_sq}
 
 
+def transfer_matrices(ops: np.ndarray) -> np.ndarray:
+    """Transfer matrices L_A = W^dag (A (x) conj(A)) W of a stack of d x d
+    operators, W = paulis.vec_basis_matrix(d), as a complex array.
+
+    L_A is the map X -> A X A^dag in the trace-orthonormal basis, since
+    row-major vec(A X A^dag) = (A (x) conj(A)) vec(X); it is real up to
+    rounding.  Each operator gets its own pair of GEMMs with inner
+    dimension d^2, so its matrix has the same bits alone as at any
+    position of a stack.  The second GEMM writes over the spent Kronecker
+    stack, so at most two (n, d^2, d^2) complex arrays are alive at once,
+    besides the conjugated stack and the broadcast product's buffers.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    n, d = ops.shape[0], ops.shape[1]
+    w = paulis.vec_basis_matrix(d)
+    with np.errstate():
+        # numpy buffers broadcast operands, by default 8,192 entries each;
+        # one Kronecker product's worth caps them at 32 d^4 bytes in all
+        np.setbufsize(d ** 4)
+        kron = ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]
+    kron = kron.reshape(n, d * d, d * d)
+    half = kron @ w
+    return np.matmul(w.conj().T, half, out=kron)
+
+
 def ptm_from_kraus(k: KrausChannel) -> PTM:
+    """Sum over the Kraus operators of their transfer matrices."""
     d = k.d
     q = int(round(np.log2(d)))
     if 2 ** q != d:
         raise ValueError("Kraus operators must act on a qubit register")
-    basis = paulis.pauli_basis(q)
-    out = np.zeros((4 ** q, 4 ** q))
-    for op in k.kraus_ops:
-        moved = np.einsum("ab,nbc,dc->nad", op, basis, op.conj())
-        out += np.einsum("mab,nba->mn", basis, moved).real
-    return PTM(q=q, matrix=out)
+    return PTM(q=q, matrix=transfer_matrices(np.array(k.kraus_ops)).sum(axis=0).real)
 
 
 def ptm_of_unitary(u: np.ndarray) -> PTM:
@@ -297,19 +324,18 @@ def lindblad_ptm(t1: float, t2: float, chi: float = 0.0, delay: float = 0.0,
     jumps = [lower / np.sqrt(t1)]
     if inv_tphi > 0:
         jumps.append(z * np.sqrt(inv_tphi / 2.0))
-    ham = (chi / 2.0) * z if include_zz else None
-
-    basis = paulis.pauli_basis(1)
-    gen = np.zeros((4, 4))
-    for n in range(4):
-        rho = basis[n]
-        drho = np.zeros((2, 2), dtype=complex)
-        for jump in jumps:
-            drho += jump @ rho @ jump.conj().T \
-                - 0.5 * (jump.conj().T @ jump @ rho + rho @ jump.conj().T @ jump)
-        if ham is not None:
-            drho += -1j * (ham @ rho - rho @ ham)
-        gen[:, n] = np.einsum("mab,ba->m", basis, drho).real
+    # the Liouvillian on row-major vec, where A X B -> (A (x) B^T) vec(X),
+    # taken to the Pauli basis by the change of basis of transfer_matrices
+    eye = np.eye(2)
+    sup = np.zeros((4, 4), dtype=complex)
+    for jump in jumps:
+        decay = jump.conj().T @ jump
+        sup += np.kron(jump, jump.conj()) - 0.5 * (np.kron(decay, eye) + np.kron(eye, decay.T))
+    if include_zz:
+        ham = (chi / 2.0) * z
+        sup += -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    w = paulis.vec_basis_matrix(2)
+    gen = (w.conj().T @ sup @ w).real
     prop = numerics.matexp(gen * delay)
     return PTM(q=1, matrix=np.real(prop))
 

@@ -25,9 +25,9 @@ from . import numerics
 from .paulis import vec_basis_matrix
 
 MAX_T = 12
-# Memory budget of one dense moment: its d^(2t)-side complex matrix plus
-# the Kronecker powers of one chunk of CHUNK unitaries.  1 GiB holds the
-# largest dense projector the acceptance suite builds (side 6,561).
+# Memory budget of one dense moment cell, as check_moment_budget counts
+# it.  1 GiB holds the largest dense projector the acceptance suite builds
+# (side 6,561).
 MOMENT_BYTES = 2 ** 30
 # Rows per moment GEMM.  A GEMM whose inner dimension fits in one BLAS K
 # panel (128 rows for OpenBLAS's SkylakeX kernels) sums every entry in the
@@ -100,15 +100,20 @@ def _gram_pinv(d: int, t: int) -> tuple[np.ndarray, int]:
 
 
 def check_moment_budget(d: int, t: int, n: int = 0, cap: int | None = None) -> None:
-    """Refuse a dense (t, t) moment of n unitaries on U(d) that needs more
-    than cap bytes (default MOMENT_BYTES), with a ValueError naming d, t
-    and the bytes.
+    """Refuse a dense (t, t) moment cell on U(d) that needs more than cap
+    bytes (default MOMENT_BYTES), with a ValueError naming d, t and the
+    bytes.
 
-    Counted are the d^(2t)-side complex matrix and the two Kronecker powers
-    of one chunk of at most CHUNK unitaries.
+    With n = 0 the cell is the Haar projector alone: one d^(2t)-side
+    complex matrix.  For the moment of n unitaries checked against that
+    projector, counted are four such matrices (mixed_moment's running
+    total, one chunk's GEMM product and the transposed copy it returns,
+    and the Haar reference) and the two Kronecker powers of one chunk of
+    at most CHUNK unitaries.
     """
     side = d ** (2 * t)
-    need = 16 * (side ** 2 + 2 * min(n, CHUNK) * side)
+    matrices = 4 if n else 1
+    need = 16 * (matrices * side ** 2 + 2 * min(n, CHUNK) * side)
     cap = MOMENT_BYTES if cap is None else cap
     if need > cap:
         raise ValueError(

@@ -85,12 +85,6 @@ def to_basis_vec(op: np.ndarray, d: int | None = None) -> np.ndarray:
     return np.einsum("nij,ji->n", basis, op)
 
 
-def from_basis_vec(vec: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`to_basis_vec`."""
-    basis = hermitian_basis(d)
-    return np.einsum("n,nij->ij", np.asarray(vec, dtype=complex), basis)
-
-
 def computational_projector(bits: str) -> np.ndarray:
     """Projector |b><b| for a computational basis bitstring like "01"."""
     d = 2 ** len(bits)

@@ -206,24 +206,17 @@ class EstimatedMetrics:
     alpha_norm_sq: float
 
 
-def _complex_ptms(us: np.ndarray, q: int) -> np.ndarray:
-    """Pauli transfer matrices of a stack of unitaries as a complex array
-    with zero imaginary part."""
-    basis = paulis.pauli_basis(q)
-    t1 = np.einsum("uab,nbc,udc->unad", us, basis, us.conj())
-    return np.einsum("mda,unad->umn", basis, t1)
-
-
-def _batch_ptms(us: np.ndarray, q: int) -> np.ndarray:
+def _batch_ptms(us: np.ndarray) -> np.ndarray:
     """Pauli transfer matrices of a stack of unitaries, in one pass.
 
-    The result is a strided view (the real part of a complex array), which
-    numpy's matmul multiplies in its own loop rather than through BLAS.
-    The engine keeps that layout for gathered gates, by indexing the
-    complex array and taking the real part, so a sequence gets the same
-    bits in a batch as alone.
+    channels.transfer_matrices gives a complex array whose imaginary part
+    is rounding-level, not zero; this is its real part, a strided view,
+    which numpy's matmul multiplies in its own loop rather than through
+    BLAS.  The engine keeps that layout for gathered gates, by indexing
+    the complex array and taking the real part, so a sequence gets the
+    same bits in a batch as alone.
     """
-    return _complex_ptms(us, q).real
+    return channels.transfer_matrices(us).real
 
 
 # Memory budget of one block of Monte Carlo sequences, and of an explicit
@@ -240,8 +233,8 @@ def _block_size(m: int, d: int, n: int, table: bool) -> int:
         # m gate indices, plus one gathered complex PTM per step
         per_sequence = m * 8 + 16 * d ** 4
     else:
-        # m sampled unitaries, their complex PTMs and the einsum
-        # intermediate
+        # m sampled unitaries, and the two complex PTM-sized arrays
+        # that channels.transfer_matrices holds at its peak
         per_sequence = m * (16 * d ** 2 + 32 * d ** 4)
     return max(1, min(n, BLOCK_BYTES // per_sequence))
 
@@ -255,15 +248,15 @@ class _Runtime:
     """Per-config precomputation shared across sequences.
 
     draws is the number of gates the run will sample.  An explicit design
-    gets a table of element PTMs (complex table plus einsum intermediate,
-    32 d^4 bytes per element) only when it fits BLOCK_BYTES and the run
-    draws at least as many gates as the design has elements; otherwise
-    the sampled gates' PTMs are computed per block, as for product designs.
+    gets a table of complex element PTMs (channels.transfer_matrices peaks
+    at two PTM-sized arrays, 32 d^4 bytes per element) only when it fits
+    BLOCK_BYTES and the run draws at least as many gates as the design
+    has elements; otherwise the sampled gates' PTMs are computed per
+    block, as for product designs.
     """
 
     def __init__(self, config: RBConfig, draws: int):
         d = config.design.d
-        self.q = d.bit_length() - 1
         self.d = d
         self.noise_mat = config.noise.matrix
 
@@ -271,7 +264,7 @@ class _Runtime:
         if config.design.kind == "explicit":
             size = config.design.elements.shape[0]
             if size * 32 * d ** 4 <= BLOCK_BYTES and size <= draws:
-                self.table = _complex_ptms(config.design.elements, self.q)
+                self.table = channels.transfer_matrices(config.design.elements)
 
         # initial operator as a weighted sum of eigenstate preparations
         w, vecs = np.linalg.eigh(config.o_ini)
@@ -316,7 +309,7 @@ def _run_block(config: RBConfig, rt: _Runtime, m: int, rngs: list,
     else:
         # for an explicit design, sample draws the same indices
         units = np.concatenate([design.sample(rng, m) for rng in rngs])
-        ptms = _complex_ptms(units, rt.q)
+        ptms = channels.transfer_matrices(units)
         idx = np.arange(units.shape[0]).reshape(len(rngs), m)
 
     state = rt.prep_vecs  # broadcast to (block, d^2, n_prep) by the first step
@@ -325,7 +318,7 @@ def _run_block(config: RBConfig, rt: _Runtime, m: int, rngs: list,
         if k:
             prod = units[idx[:, k]] @ prod
         state = rt.noise_mat @ (ptms[idx[:, k]].real @ state)
-    linv = _batch_ptms(prod.conj().transpose(0, 2, 1), rt.q)
+    linv = _batch_ptms(prod.conj().transpose(0, 2, 1))
     state = rt.noise_mat @ (linv @ state)
 
     probs = rt.outcome_projs @ state  # (block, d outcomes, n_prep)

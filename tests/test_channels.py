@@ -29,6 +29,19 @@ def test_ptm_identity_properties():
     assert l.is_cp()
 
 
+@pytest.mark.parametrize("d, rank", [(2, 3), (4, 2)])
+def test_choi_matches_kraus_definition(d, rank):
+    # J = (E (x) id)(|Omega><Omega|) / d = sum_cd E(|c><d|) (x) |c><d| / d
+    k = channels.random_cptp(d, rank, seed=11)
+    want = np.zeros((d * d, d * d), dtype=complex)
+    for c in range(d):
+        for e in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[c, e] = 1.0
+            want += np.kron(k.apply(unit), unit) / d
+    assert np.abs(k.to_ptm().choi() - want).max() < 1e-14
+
+
 def test_ptm_of_unitary_is_orthogonal(rng):
     u = numerics.haar_unitary(2, rng)
     l = channels.ptm_of_unitary(u)
@@ -55,8 +68,8 @@ def test_compose_is_matrix_product(rng):
     c = channels.compose(a, b)
     assert np.abs(c.matrix - a.matrix @ b.matrix).max() < 1e-14
     # Composition agrees with applying the Kraus maps in sequence.
-    rho = paulis.from_basis_vec(c.apply(paulis.to_basis_vec(
-        np.array([[1, 0], [0, 0]], dtype=complex))), 2)
+    coords = c.apply(paulis.to_basis_vec(np.array([[1, 0], [0, 0]], dtype=complex)))
+    rho = np.einsum("n,nij->ij", coords, paulis.hermitian_basis(2))
     k1 = channels.random_cptp(2, 2, seed=1)
     k2 = channels.random_cptp(2, 3, seed=2)
     assert np.abs(rho - k1.apply(k2.apply(

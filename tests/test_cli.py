@@ -244,31 +244,58 @@ def test_threads_flag_sets_env(tmp_path, monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "1"
 
 
-def test_sampled_verify_report_independent_of_threads(tmp_path):
-    # Each run is a fresh process, so --threads reaches the BLAS pool; with
-    # 500 samples the moment GEMM's inner dimension spans several BLAS K
-    # panels, where a single GEMM sums in a thread-dependent order.
+def _main_in_fresh_process(cwd, *argv):
+    """exactrb's CLI in a process of its own, so --threads reaches the BLAS
+    pool before numpy loads it."""
     import os
     import subprocess
     import sys
 
     import exactrb
-    design = tmp_path / "q32.json"
-    assert run("design", "build", "--type", "qudit", "--d", "3", "--t", "2",
-               "--out", str(design)) == cli.EXIT_PASS
     env = {k: v for k, v in os.environ.items()
            if k not in cli._THREAD_ENV and k != "EXACTRB_THREADS"}
     src = os.path.dirname(os.path.dirname(os.path.abspath(exactrb.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from exactrb.cli import main; sys.exit(main())",
+         *argv], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_sampled_verify_report_independent_of_threads(tmp_path):
+    # With 500 samples the moment GEMM's inner dimension spans several BLAS
+    # K panels, where a single GEMM sums in a thread-dependent order.
+    design = tmp_path / "q32.json"
+    assert run("design", "build", "--type", "qudit", "--d", "3", "--t", "2",
+               "--out", str(design)) == cli.EXIT_PASS
     reports = []
     for threads in ("1", "2"):
         cwd = tmp_path / ("threads" + threads)
         cwd.mkdir()
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from exactrb.cli import main; sys.exit(main())",
-             "--threads", threads, "design", "verify", "--design", str(design), "--t", "2",
-             "--strong", "--mc-samples", "500", "--seed", "0", "--out", "report.json"],
-            cwd=cwd, env=env, capture_output=True, text=True)
+        proc = _main_in_fresh_process(
+            cwd, "--threads", threads, "design", "verify", "--design", str(design),
+            "--t", "2", "--strong", "--mc-samples", "500", "--seed", "0",
+            "--out", "report.json")
         assert proc.returncode == cli.EXIT_PASS, proc.stdout + proc.stderr
         reports.append((cwd / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_mc_curves_independent_of_threads(tmp_path):
+    # v_t_monte_carlo promises curves that do not depend on the BLAS thread
+    # count: every PTM is its own pair of small GEMMs
+    cfg = tmp_path / "rb2q.json"
+    cfg.write_text(json.dumps({
+        "pipeline": "2q", "noise": {"model": "noise2", "p": 0.02, "q": 0.9},
+        "design": {"type": "interleaved-4design"},
+        "sequence_lengths": [1, 2, 3, 4, 6, 8, 12, 16, 24], "n_sequences": 4, "seed": 5}))
+    names = ("v1", "v2_zz_p00", "v2_zz_zz", "v2_rm_rm")
+    bodies = []
+    for threads in ("1", "2"):
+        out = "threads" + threads
+        proc = _main_in_fresh_process(tmp_path, "--threads", threads, "rb", "--config",
+                                      str(cfg), "--mode", "mc", "--out-dir", out)
+        assert proc.returncode == cli.EXIT_PASS, proc.stdout + proc.stderr
+        # the first line holds the manifest digest, which covers --out-dir
+        bodies.append([(tmp_path / out / (name + ".csv")).read_text().split("\n", 1)[1]
+                       for name in names])
+    assert bodies[0] == bodies[1]

@@ -1,5 +1,7 @@
 """Ensemble containers, exact design constructions, and moment verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -386,19 +388,40 @@ def test_verify_product_requires_samples():
 
 
 def test_verify_refuses_moments_over_budget(monkeypatch):
-    # d = 2, t = 4 over 60 elements needs 16 (256^2 + 60 * 2 * 256) bytes,
-    # its Haar projector alone 16 * 256^2; under a 1 MB budget t = 3 still
-    # runs and t = 4 is refused before any moment is built.
+    # d = 2, t = 4 over 60 elements needs 16 (4 * 256^2 + 60 * 2 * 256)
+    # bytes, its Haar projector alone 16 * 256^2; under a 1 MB budget t = 3
+    # still runs and t = 4 is refused before any moment is built.
     monkeypatch.setattr(haar, "MOMENT_BYTES", 10 ** 6)
     e = designs.icosahedral_group()
     assert designs.verify_strong_design(e, 3, strong=False,
                                         frame_potential_mode="skip").passed
     monkeypatch.setattr(haar, "mixed_moment",
                         lambda *a, **k: pytest.fail("a moment was built"))
-    with pytest.raises(ValueError, match="d = 2, t = 4 needs 1,540,096 bytes"):
+    with pytest.raises(ValueError, match="d = 2, t = 4 needs 4,685,824 bytes"):
         designs.verify_strong_design(e, 4, strong=False)
     with pytest.raises(ValueError, match="d = 2, t = 4"):
         haar.haar_moment_projector(2, 4)
+
+
+def test_moment_budget_bounds_measured_peak():
+    # the (4, 4) cell of the icosahedral group: verify holds mixed_moment's
+    # running total, a chunk's GEMM product, the transposed result and the
+    # Haar reference, which check_moment_budget counts for n > 0; for the
+    # projector alone (n = 0) it counts one matrix
+    e = designs.icosahedral_group()
+    side = 2 ** 8
+    counted = 16 * (4 * side ** 2 + 2 * e.size * side)
+    haar.check_moment_budget(2, 4, e.size, cap=counted)
+    with pytest.raises(ValueError):
+        haar.check_moment_budget(2, 4, e.size, cap=counted - 1)
+    haar.check_moment_budget(2, 4, cap=16 * side ** 2)
+    tracemalloc.start()
+    try:
+        designs.verify_strong_design(e, 4, strong=False, frame_potential_mode="skip")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted
 
 
 def test_sampled_verify_at_d4_t2_beyond_one_product_chunk():

@@ -1,6 +1,7 @@
 """Sequence simulation, exact decay curves, fitting, and metric pipelines."""
 
 import functools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactrb import channels, designs, irreps, paulis, rb
+from exactrb import channels, designs, irreps, numerics, paulis, rb
 
 Z = paulis.Z
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -105,7 +106,7 @@ def test_decay_curve_roundtrip(tmp_path):
 def brute_force_v(noise, o_ini, o_meas, m, t):
     """Average of <O>^t over every sequence of the icosahedral design."""
     e = ico()
-    ls = rb._batch_ptms(e.elements, 1)
+    ls = rb._batch_ptms(e.elements)
     iv = paulis.to_basis_vec(o_ini).real
     ov = paulis.to_basis_vec(o_meas).real
     le = noise.matrix
@@ -118,7 +119,7 @@ def brute_force_v(noise, o_ini, o_meas, m, t):
         for i in idx:
             state = le @ (ls[i] @ state)
             prod = e.elements[i] @ prod
-        linv = rb._batch_ptms(prod.conj().T[None], 1)[0]
+        linv = rb._batch_ptms(prod.conj().T[None])[0]
         state = le @ (linv @ state)
         total += float(ov @ state) ** t
     return total / len(idx_sets)
@@ -263,11 +264,11 @@ def test_non_cp_noise_fails_fast():
 def reference_sequence(config, m, rng, rt):
     """One sequence, gate by gate: the engine's arithmetic without batching."""
     us = config.design.sample(rng, m)
-    ls = rb._batch_ptms(us, rt.q)
+    ls = rb._batch_ptms(us)
     prod = us[0]
     for i in range(1, m):
         prod = us[i] @ prod
-    linv = rb._batch_ptms(prod.conj().T[None, :, :], rt.q)[0]
+    linv = rb._batch_ptms(prod.conj().T[None, :, :])[0]
     state = rt.prep_vecs.copy()
     for i in range(m):
         state = rt.noise_mat @ (ls[i] @ state)
@@ -346,6 +347,54 @@ def test_explicit_design_without_table():
         assert rb._Runtime(cfg, 10 ** 9).table is None
         without = rb.v_t_monte_carlo(cfg)
     assert without.points == with_table.points == reference_v_t(cfg).points
+
+
+def einsum_ptms(us, q):
+    """The two-einsum PTM kernel that channels.transfer_matrices replaced,
+    kept verbatim as a reference."""
+    basis = paulis.pauli_basis(q)
+    t1 = np.einsum("uab,nbc,udc->unad", us, basis, us.conj())
+    return np.einsum("mda,unad->umn", basis, t1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([1, 2]), n=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_ptm_kernel_guard(q, n, seed, data):
+    # The engine's bit-identity with the per-sequence reference rests on
+    # the last property: the reference computes each sequence's PTMs in a
+    # stack of its own, the engine in a stack of the whole block.
+    d = 2 ** q
+    us = numerics.haar_unitaries(d, n, np.random.default_rng(seed))
+    got = channels.transfer_matrices(us)
+    assert np.abs(got.imag).max() <= 1e-14
+    ls = got.real
+    e0 = np.eye(d * d)[0]
+    assert np.abs(ls @ ls.transpose(0, 2, 1) - np.eye(d * d)).max() <= 1e-14
+    assert np.abs(ls[:, 0, :] - e0).max() <= 1e-14
+    assert np.abs(ls[:, :, 0] - e0).max() <= 1e-14
+    assert np.abs(got - einsum_ptms(us, q)).max() <= 1e-14
+    i = data.draw(st.integers(0, n - 1), label="position")
+    assert channels.transfer_matrices(us[i:i + 1])[0].tobytes() == got[i].tobytes()
+    assert rb._batch_ptms(us[i:i + 1])[0].tobytes() == ls[i].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 24, 500])
+def test_ptm_kernel_peak_within_block_count(n):
+    # _block_size and _Runtime count 32 d^4 bytes per PTM: the kernel's two
+    # live PTM-sized arrays.  Besides them it holds the conjugated stack,
+    # the broadcast product's buffers (capped at one PTM's worth per
+    # operand) and a few kB of numpy bookkeeping.
+    d = 4
+    us = numerics.haar_unitaries(d, n, np.random.default_rng(n))
+    channels.transfer_matrices(us[:1])
+    tracemalloc.start()
+    try:
+        channels.transfer_matrices(us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * d ** 4 * n + 16 * d ** 2 * n + 32 * d ** 4 + 8192
 
 
 @settings(max_examples=60, deadline=None)
