@@ -31,19 +31,17 @@ class PTM:
 
     q: int
     matrix: np.ndarray
-    require_tp: bool = True
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         dim = 4 ** self.q
         if m.shape != (dim, dim):
             raise ValueError(f"PTM for q={self.q} must be {dim}x{dim}")
-        if self.require_tp:
-            row = np.zeros(dim)
-            row[0] = 1.0
-            dev = np.abs(m[0] - row).max()
-            if dev > TP_TOL:
-                raise ValueError(f"first row is not (1,0,...,0): deviation {dev:.3e}")
+        row = np.zeros(dim)
+        row[0] = 1.0
+        dev = np.abs(m[0] - row).max()
+        if dev > TP_TOL:
+            raise ValueError(f"first row is not (1,0,...,0): deviation {dev:.3e}")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -58,9 +56,6 @@ class PTM:
     def alpha(self) -> np.ndarray:
         """Non-unital translation vector (zero iff the channel is unital)."""
         return self.matrix[1:, 0]
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
 
     def choi(self) -> np.ndarray:
         """Choi state (E (x) id)(|Omega><Omega|), trace 1 for TP input.
@@ -164,24 +159,6 @@ def ptm_of_unitary(u: np.ndarray) -> PTM:
 
 def identity_ptm(q: int) -> PTM:
     return PTM(q=q, matrix=np.eye(4 ** q))
-
-
-def compose(a: PTM, b: PTM) -> PTM:
-    """Channel a after b (matrix product a.matrix @ b.matrix)."""
-    if a.q != b.q:
-        raise ValueError("qubit counts differ")
-    return PTM(q=a.q, matrix=a.matrix @ b.matrix,
-               require_tp=a.require_tp and b.require_tp)
-
-
-def adjoint_ptm(l: PTM) -> PTM:
-    """Adjoint channel: the transpose in the real Pauli basis.
-
-    The adjoint of a TP map is unital but generally not TP, so the result
-    carries require_tp=False when the input is non-unital.
-    """
-    tp = bool(np.abs(l.matrix[:, 0][1:]).max() <= TP_TOL)
-    return PTM(q=l.q, matrix=l.matrix.T.copy(), require_tp=tp)
 
 
 def metrics(l: PTM) -> MetricSet:
@@ -345,7 +322,7 @@ def random_cptp(d: int, kraus_rank: int, seed: int) -> KrausChannel:
     if not 1 <= kraus_rank <= d * d:
         raise ValueError("need 1 <= kraus_rank <= d^2")
     rng = np.random.default_rng(seed)
-    big = numerics.haar_unitary(d * kraus_rank, rng)
+    big = numerics.haar_unitaries(d * kraus_rank, 1, rng)[0]
     isometry = big[:, :d]
     ops = tuple(isometry[i * d:(i + 1) * d, :] for i in range(kraus_rank))
     return KrausChannel(ops)

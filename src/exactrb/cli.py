@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 
@@ -39,51 +38,15 @@ EXIT_CONSTRUCTION = 3
 EXIT_STRICT_FIT = 4
 
 
-@dataclass
-class RunManifest:
-    """Provenance record for one CLI invocation.
-
-    The digest covers everything except the wall clock, so identical
-    reruns produce identical digests (and identical artifacts).
-    """
-
-    command_line: list
-    config_digest: str
-    master_seed: int | None
-    version: str
-    wall_clock: str
-    outputs: list = field(default_factory=list)
-
-    def digest(self) -> str:
-        doc = {
-            "command_line": self.command_line,
-            "config_digest": self.config_digest,
-            "master_seed": self.master_seed,
-            "version": self.version,
-            "outputs": sorted(self.outputs),
-        }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command_line": self.command_line,
-            "config_digest": self.config_digest,
-            "master_seed": self.master_seed,
-            "version": self.version,
-            "wall_clock": self.wall_clock,
-            "outputs": sorted(self.outputs),
-            "digest": self.digest(),
-        }
-
-    def write(self, path: str) -> None:
-        _write_json(path, self.to_json_dict())
-
-
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _json_artifact(doc: dict):
+    """Writer of a JSON artifact: doc with the manifest digest added."""
+    return lambda path, digest: _write_json(path, dict(doc, manifest_digest=digest))
 
 
 def _sha256_file(path: str) -> str:
@@ -91,20 +54,21 @@ def _sha256_file(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _sha256_args(doc: dict) -> str:
+def _emit(argv, config_digest, seed, artifacts, manifest_path) -> None:
+    """Write a run's artifacts, then the manifest that names them.
+
+    artifacts maps each output path to a writer(path, digest).  The digest
+    covers every manifest field except the wall clock, so identical reruns
+    write identical artifacts; each writer embeds it in its file.
+    """
+    doc = {"command_line": list(argv), "config_digest": config_digest,
+           "master_seed": seed, "version": __version__, "outputs": sorted(artifacts)}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _manifest(argv, config_digest, seed, outputs) -> RunManifest:
-    return RunManifest(
-        command_line=list(argv),
-        config_digest=config_digest,
-        master_seed=seed,
-        version=__version__,
-        wall_clock=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        outputs=list(outputs),
-    )
+    doc["digest"] = hashlib.sha256(blob.encode()).hexdigest()
+    for path, write in artifacts.items():
+        write(path, doc["digest"])
+    doc["wall_clock"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+    _write_json(manifest_path, doc)
 
 
 def _load_design_arg(design_doc):
@@ -152,10 +116,14 @@ def cmd_design_build(args, argv) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print("construction failed: %s" % exc, file=sys.stderr)
         return EXIT_CONSTRUCTION
-    man = _manifest(argv, _sha256_args({k: str(v) for k, v in design_doc.items()}),
-                    None, [args.out])
-    designs.save_design(ensemble, args.out, extra={"manifest_digest": man.digest()})
-    man.write(args.out + ".manifest.json")
+    config = json.dumps({k: str(v) for k, v in design_doc.items()},
+                        sort_keys=True, separators=(",", ":"))
+
+    def write(path, digest):
+        designs.save_design(ensemble, path, extra={"manifest_digest": digest})
+
+    _emit(argv, hashlib.sha256(config.encode()).hexdigest(), None,
+          {args.out: write}, args.out + ".manifest.json")
     print("wrote %s (%d elements)" % (args.out, ensemble.size))
     return EXIT_PASS
 
@@ -175,11 +143,8 @@ def cmd_design_verify(args, argv) -> int:
     except ValueError as exc:
         print("cannot verify: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    man = _manifest(argv, _sha256_file(args.design), args.seed, [args.out])
-    doc = report.to_json_dict()
-    doc["manifest_digest"] = man.digest()
-    _write_json(args.out, doc)
-    man.write(args.out + ".manifest.json")
+    _emit(argv, _sha256_file(args.design), args.seed,
+          {args.out: _json_artifact(report.to_json_dict())}, args.out + ".manifest.json")
     print("design %s at t=%d: %s (worst residual %.3g)"
           % (args.design, args.t, "PASS" if report.passed else "FAIL",
              max(report.residuals.values())))
@@ -198,16 +163,14 @@ def cmd_design_sample(args, argv) -> int:
         return EXIT_USAGE
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     us = ensemble.sample(rng, args.n)
-    man = _manifest(argv, _sha256_file(args.design), args.seed, [args.out])
     doc = {
         "d": ensemble.d,
         "n": args.n,
         "seed": args.seed,
         "unitaries": [designs._matrix_to_json(u) for u in us],
-        "manifest_digest": man.digest(),
     }
-    _write_json(args.out, doc)
-    man.write(args.out + ".manifest.json")
+    _emit(argv, _sha256_file(args.design), args.seed,
+          {args.out: _json_artifact(doc)}, args.out + ".manifest.json")
     print("wrote %d samples to %s" % (args.n, args.out))
     return EXIT_PASS
 
@@ -221,15 +184,6 @@ def _estimates_json(est) -> dict:
         "flags": list(est.flags),
         "alpha_norm_sq": est.alpha_norm_sq,
     }
-
-
-def _write_curve(curve, path, digest) -> None:
-    curve.to_csv(path)
-    with open(path) as fh:
-        body = fh.read()
-    with open(path, "w") as fh:
-        fh.write("# manifest: %s\n" % digest)
-        fh.write(body)
 
 
 def _curve_seed(seed: int, k: int) -> int:
@@ -256,21 +210,20 @@ def cmd_rb(args, argv) -> int:
         noise = channels.noise_from_config(cfg["noise"])
         m_list = [int(m) for m in cfg["sequence_lengths"]]
         seed = int(cfg.get("seed", 0))
+        # the largest fit has 2 (1q) or 4 (2q) terms, 2 * terms + 1 points
+        need = 5 if pipeline == "1q" else 9
+        if len(m_list) < need:
+            raise ValueError("the %s pipeline needs at least %d sequence lengths, got %d"
+                             % (pipeline, need, len(m_list)))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print("bad rb config: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 
-    os.makedirs(args.out_dir, exist_ok=True)
     q = 1 if pipeline == "1q" else 2
     settings_1q = [("v1", 1, "Z", "P0"), ("v2", 2, "Z", "P0")]
     settings_2q = [("v1", 1, "ZZ", "P00"), ("v2_zz_p00", 2, "ZZ", "P00"),
                    ("v2_zz_zz", 2, "ZZ", "ZZ"), ("v2_rm_rm", 2, "rho_minus", "rho_minus")]
     settings = settings_1q if q == 1 else settings_2q
-
-    outputs = [os.path.join(args.out_dir, name + ".csv") for name, *_ in settings]
-    outputs += [os.path.join(args.out_dir, "metrics.json")]
-    man = _manifest(argv, _sha256_file(args.config), seed, outputs)
-    digest = man.digest()
 
     curves = {}
     if args.mode == "exact":
@@ -306,9 +259,6 @@ def cmd_rb(args, argv) -> int:
             print("bad rb config: %s" % exc, file=sys.stderr)
             return EXIT_USAGE
 
-    for (name, *_), path in zip(settings, outputs):
-        _write_curve(curves[name], path, digest)
-
     try:
         if q == 1:
             est = rb.estimate_metrics_1q(curves["v1"], curves["v2"],
@@ -321,10 +271,13 @@ def cmd_rb(args, argv) -> int:
     except ValueError as exc:
         print("estimation failed: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    doc = _estimates_json(est)
-    doc["manifest_digest"] = digest
-    _write_json(os.path.join(args.out_dir, "metrics.json"), doc)
-    man.write(os.path.join(args.out_dir, "manifest.json"))
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    artifacts = {os.path.join(args.out_dir, name + ".csv"): curves[name].to_csv
+                 for name, *_ in settings}
+    artifacts[os.path.join(args.out_dir, "metrics.json")] = _json_artifact(_estimates_json(est))
+    _emit(argv, _sha256_file(args.config), seed, artifacts,
+          os.path.join(args.out_dir, "manifest.json"))
     print("wrote %d curves and metrics to %s" % (len(curves), args.out_dir))
 
     bad = [f for f in est.flags if f in ("non_converged", "ill_conditioned")]
@@ -343,11 +296,8 @@ def cmd_metrics(args, argv) -> int:
         print("bad noise config: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     m = channels.metrics(noise)
-    man = _manifest(argv, _sha256_file(args.noise), None, [args.out])
-    doc = m.to_json_dict()
-    doc["manifest_digest"] = man.digest()
-    _write_json(args.out, doc)
-    man.write(args.out + ".manifest.json")
+    _emit(argv, _sha256_file(args.noise), None,
+          {args.out: _json_artifact(m.to_json_dict())}, args.out + ".manifest.json")
     print("F=%.6f u=%.6f H=%.6f |alpha|^2=%.3g" % (m.F, m.u, m.H, m.alpha_norm_sq))
     return EXIT_PASS
 
@@ -364,7 +314,6 @@ def cmd_fit(args, argv) -> int:
     except (OSError, ValueError) as exc:
         print("fit failed: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    man = _manifest(argv, _sha256_file(args.curve), None, [args.out])
     doc = {
         "amplitudes": list(fit.amplitudes),
         "rates": list(fit.rates),
@@ -372,10 +321,9 @@ def cmd_fit(args, argv) -> int:
         "covariance": np.asarray(fit.covariance).tolist(),
         "flags": list(fit.flags),
         "n_evaluations": fit.n_evaluations,
-        "manifest_digest": man.digest(),
     }
-    _write_json(args.out, doc)
-    man.write(args.out + ".manifest.json")
+    _emit(argv, _sha256_file(args.curve), None,
+          {args.out: _json_artifact(doc)}, args.out + ".manifest.json")
     print("rates:", " ".join("%.6f" % r for r in fit.rates), "flags:", list(fit.flags))
     if args.strict and fit.flags:
         return EXIT_STRICT_FIT

@@ -174,14 +174,6 @@ def _first_seen(keys: list[bytes], seen: set[bytes]) -> np.ndarray:
     return fresh
 
 
-def _canonical_phase(u: np.ndarray) -> np.ndarray:
-    return _canonical_phases(u[None])[0]
-
-
-def _round_key(u: np.ndarray) -> bytes:
-    return _round_keys(u[None])[0]
-
-
 # ---------------------------------------------------------------------------
 # the inductive qudit tower
 

@@ -55,21 +55,13 @@ def pinv_psd(g: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndar
     return _require_finite(pinv, "pinv"), rank
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a Haar-distributed unitary from QR of a complex Ginibre matrix.
+def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """An ``(n, d, d)`` stack of Haar-distributed unitaries, from the QR
+    decomposition of complex Ginibre matrices.
 
     The R-diagonal phase correction makes the distribution exactly Haar
     rather than merely unitary-valued.
     """
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return q
-
-
-def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Batched :func:`haar_unitary`: returns an ``(n, d, d)`` stack."""
     z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)

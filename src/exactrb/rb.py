@@ -150,9 +150,13 @@ class DecayCurve:
     def stderrs(self) -> np.ndarray:
         return np.array([p[2] for p in self.points])
 
-    def to_csv(self, path: str) -> None:
+    def to_csv(self, path: str, manifest_digest: str | None = None) -> None:
+        """Write the points as CSV with LF line ends, after a
+        "# manifest: <digest>" line when a manifest digest is given."""
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
+            if manifest_digest is not None:
+                fh.write("# manifest: %s\n" % manifest_digest)
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(["m", "V", "stderr", "n_sequences", "n_shots"])
             for m, v, se, ns, sh in self.points:
                 w.writerow([m, "%.17g" % v, "%.17g" % se, ns, sh])
@@ -344,23 +348,6 @@ def _run_block(config: RBConfig, rt: _Runtime, m: int, rngs: list,
     return means @ rt.prep_weights
 
 
-def run_sequence(config: RBConfig, m: int, rng: np.random.Generator) -> float:
-    """One random sequence of length m plus its noisy inverse.
-
-    Returns the measured expectation value of o_meas: the exact one when
-    n_shots = 0, otherwise the mean of n_shots sampled eigenvalues.  For
-    a multi-eigenstate o_ini the same sequence is run once per eigenstate
-    and the expectation values are combined with the eigenvalue weights
-    (the difference-before-squaring form when o_ini is a state pair).
-    This is the one-stream case of the engine behind v_t_monte_carlo.
-    Raises ValueError when an outcome probability is negative beyond
-    rounding, which a noise map that is not completely positive causes.
-    """
-    if m < 1:
-        raise ValueError("sequence length must be >= 1")
-    return float(_run_block(config, _Runtime(config, m), m, [rng], 0)[0])
-
-
 def _jackknife_stderr(x: np.ndarray) -> float:
     n = x.size
     loo = (x.sum() - x) / (n - 1)
@@ -370,6 +357,12 @@ def _jackknife_stderr(x: np.ndarray) -> float:
 def v_t_monte_carlo(config: RBConfig) -> DecayCurve:
     """Estimate V^(t)(m) = E[<O>^t] over random sequences.
 
+    A sequence is m random gates plus the noisy inverse of their product;
+    its value is the measured expectation of o_meas, exact when n_shots =
+    0 and otherwise the mean of n_shots sampled eigenvalues.  For a
+    multi-eigenstate o_ini the same sequence is run once per eigenstate
+    and the expectation values are combined with the eigenvalue weights
+    (the difference-before-squaring form when o_ini is a state pair).
     Each (m, sequence index) pair gets its own counter-based stream, so
     results are bit-identical for a given seed regardless of evaluation
     order or thread count.  All sequences of one length advance together,
@@ -423,6 +416,16 @@ def v2_exact(noise: channels.PTM, o_ini: np.ndarray, o_meas: np.ndarray,
     return DecayCurve(points=tuple(pts))
 
 
+def _v1_boundary(noise: channels.PTM, o_ini: np.ndarray, o_meas: np.ndarray):
+    """Boundary vectors of a first-order curve, <<E^dag(O)| and |rho>> in
+    Pauli coordinates, and the noise fidelity f."""
+    ov = paulis.to_basis_vec(np.asarray(o_meas, dtype=complex))
+    iv = paulis.to_basis_vec(np.asarray(o_ini, dtype=complex))
+    if max(np.abs(ov.imag).max(), np.abs(iv.imag).max()) > 1e-12:
+        raise ValueError("operators must be Hermitian")
+    return noise.matrix.T @ ov.real, iv.real, channels.metrics(noise).f
+
+
 def v1_exact(noise: channels.PTM, o_ini: np.ndarray, o_meas: np.ndarray,
              m_list) -> DecayCurve:
     """Exact first-order decay A0 + A1 f^m.
@@ -430,14 +433,9 @@ def v1_exact(noise: channels.PTM, o_ini: np.ndarray, o_meas: np.ndarray,
     The boundary vector carries the noise applied to the measurement
     operator in the Heisenberg picture, <<O|L_E = <<E^dag(O)|.
     """
-    ov = paulis.to_basis_vec(np.asarray(o_meas, dtype=complex))
-    iv = paulis.to_basis_vec(np.asarray(o_ini, dtype=complex))
-    if max(np.abs(ov.imag).max(), np.abs(iv.imag).max()) > 1e-12:
-        raise ValueError("operators must be Hermitian")
-    w = noise.matrix.T @ ov.real
-    a0 = w[0] * iv.real[0]
-    a1 = float(w[1:] @ iv.real[1:])
-    f = channels.metrics(noise).f
+    w, iv, f = _v1_boundary(noise, o_ini, o_meas)
+    a0 = w[0] * iv[0]
+    a1 = float(w[1:] @ iv[1:])
     pts = [(int(m), a0 + a1 * f ** m, 0.0, 0, 0) for m in m_list]
     return DecayCurve(points=tuple(pts))
 
@@ -455,18 +453,13 @@ def v1_approx_design(noise: channels.PTM, o_ini: np.ndarray, o_meas: np.ndarray,
     p = np.asarray(perturbation, dtype=float)
     if p.shape != (d2, d2):
         raise ValueError("perturbation must be a %dx%d transfer matrix" % (d2, d2))
-    ov = paulis.to_basis_vec(np.asarray(o_meas, dtype=complex))
-    iv = paulis.to_basis_vec(np.asarray(o_ini, dtype=complex))
-    if max(np.abs(ov.imag).max(), np.abs(iv.imag).max()) > 1e-12:
-        raise ValueError("operators must be Hermitian")
-    w = noise.matrix.T @ ov.real
-    f = channels.metrics(noise).f
+    w, iv, f = _v1_boundary(noise, o_ini, o_meas)
     l_av = np.eye(d2) * f
     l_av[0, 0] = 1.0
     gen = l_av + epsilon * p
     pts = []
     for m in m_list:
-        v = float(w @ np.linalg.matrix_power(gen, int(m)) @ iv.real)
+        v = float(w @ np.linalg.matrix_power(gen, int(m)) @ iv)
         pts.append((int(m), v, 0.0, 0, 0))
     return DecayCurve(points=tuple(pts))
 

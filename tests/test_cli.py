@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, artifacts, digests, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -181,11 +182,80 @@ def test_curve_seeds_distinct():
     assert cli._curve_seed(1, 0) != cli._curve_seed(0, 1)
 
 
-def test_rb_short_m_list_is_usage_error(tmp_path):
+def test_rb_short_m_list_is_usage_error(tmp_path, monkeypatch, capsys):
+    # the largest fit needs 2 * terms + 1 lengths, 5 for 1q and 9 for 2q:
+    # refused while the config is read, before any simulation or output
+    monkeypatch.setattr(rb, "v_t_monte_carlo", None)
     cfg = tmp_path / "rb.json"
+    out = tmp_path / "out"
     write_rb_config(str(cfg), sequence_lengths=[1, 3, 8, 20])
     assert run("rb", "--config", str(cfg), "--mode", "mc",
-               "--out-dir", str(tmp_path / "out")) == cli.EXIT_USAGE
+               "--out-dir", str(out)) == cli.EXIT_USAGE
+    assert "needs at least 5 sequence lengths, got 4" in capsys.readouterr().err
+    write_rb_config(str(cfg), pipeline="2q", noise={"model": "noise2", "p": 0.02, "q": 0.9},
+                    sequence_lengths=[1, 2, 3, 4, 6, 8, 12, 16])
+    for mode in ("mc", "exact"):
+        assert run("rb", "--config", str(cfg), "--mode", mode,
+                   "--out-dir", str(out)) == cli.EXIT_USAGE
+        assert "needs at least 9 sequence lengths, got 8" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rb.json"]
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    assert run("design", "build", "--type", "icosahedral",
+               "--out", str(d / "ico.json")) == cli.EXIT_PASS
+    (d / "noise.json").write_text(json.dumps({"model": "noise1", "p": 0.02, "q": 0.98}))
+    write_rb_config(str(d / "rb1q.json"))
+    write_rb_config(str(d / "rb2q.json"), pipeline="2q",
+                    noise={"model": "noise2", "p": 0.02, "q": 0.9},
+                    design={"type": "interleaved-4design"},
+                    sequence_lengths=[1, 2, 3, 4, 6, 8, 12, 16, 24],
+                    n_sequences=2, n_shots=0)
+    ms = [1, 2, 3, 5, 8, 12, 20, 35, 60, 100]
+    rb.DecayCurve(points=tuple((m, 0.25 + 0.75 * 0.96 ** m, 0.0, 0, 0) for m in ms)
+                  ).to_csv(str(d / "curve.csv"))
+    return d
+
+
+CONTRACT = {
+    "design build": lambda i, o: ["design", "build", "--type", "icosahedral",
+                                  "--out", o + "/ico.json"],
+    "design verify": lambda i, o: ["design", "verify", "--design", i + "/ico.json",
+                                   "--t", "2", "--out", o + "/report.json"],
+    "design sample": lambda i, o: ["design", "sample", "--design", i + "/ico.json",
+                                   "--n", "3", "--out", o + "/samples.json"],
+    "rb exact 1q": lambda i, o: ["rb", "--config", i + "/rb1q.json", "--mode", "exact",
+                                 "--out-dir", o + "/rb"],
+    "rb mc 2q": lambda i, o: ["rb", "--config", i + "/rb2q.json", "--mode", "mc",
+                              "--out-dir", o + "/rb"],
+    "metrics": lambda i, o: ["metrics", "--noise", i + "/noise.json", "--out", o + "/met.json"],
+    "fit": lambda i, o: ["fit", "--curve", i + "/curve.csv", "--terms", "2",
+                         "--out", o + "/fit.json"],
+}
+
+
+@pytest.mark.parametrize("command", CONTRACT)
+def test_artifact_contract(contract_inputs, tmp_path, command):
+    # a run writes its outputs and one manifest naming exactly them; each
+    # output embeds the manifest's digest, as the manifest_digest key of a
+    # JSON file or the first line of a CSV file
+    assert run(*CONTRACT[command](str(contract_inputs), str(tmp_path))) == cli.EXIT_PASS
+    written = {str(p) for p in tmp_path.rglob("*") if p.is_file()}
+    manifest = [p for p in written if p.endswith("manifest.json")]
+    assert len(manifest) == 1
+    man = read_json(manifest[0])
+    assert set(man["outputs"]) == written - set(manifest)
+    fields = {k: v for k, v in man.items() if k not in ("digest", "wall_clock")}
+    blob = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+    assert man["digest"] == hashlib.sha256(blob).hexdigest()
+    for path in man["outputs"]:
+        if path.endswith(".csv"):
+            with open(path, "rb") as fh:
+                assert fh.readline() == b"# manifest: %s\n" % man["digest"].encode()
+        else:
+            assert read_json(path)["manifest_digest"] == man["digest"]
 
 
 def test_rb_bad_noise_model(tmp_path):

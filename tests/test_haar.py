@@ -93,7 +93,7 @@ def test_twirl_ptm2_projects(rng):
     y = haar.haar_twirl_ptm2(x, 4)
     y2 = haar.haar_twirl_ptm2(y, 4)
     assert np.abs(y - y2).max() < 1e-10
-    v = numerics.haar_unitary(4, rng)
+    v = numerics.haar_unitaries(4, 1, rng)[0]
     basis = paulis.pauli_basis(2)
     # L_V[m,n] = tr(P_m V P_n V^dag) with the normalized basis.
     lv = np.einsum("mab,bc,ncd,ad->mn", basis, v, basis, v.conj()).real

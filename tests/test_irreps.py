@@ -44,7 +44,7 @@ def test_projector_algebra(q):
 def test_projector_invariance(q):
     p = irreps.projector_set(q)
     rng = np.random.default_rng(41)
-    lv2 = unitary_two_copy(numerics.haar_unitary(2 ** q, rng), q)
+    lv2 = unitary_two_copy(numerics.haar_unitaries(2 ** q, 1, rng)[0], q)
     for pa in p.projectors.values():
         assert np.abs(lv2 @ pa - pa @ lv2).max() < 1e-10
 

@@ -83,18 +83,31 @@ def test_config_verify_design_over_budget():
                     o_ini=zz, o_meas=zz, verify_design=True)
 
 
-def test_decay_curve_roundtrip(tmp_path):
-    curve = rb.DecayCurve(points=((1, 0.5, 0.01, 100, 50),
-                                  (4, 0.25, 0.008, 100, 50)))
-    path = tmp_path / "curve.csv"
-    curve.to_csv(str(path))
-    back = rb.DecayCurve.from_csv(str(path))
-    assert back.points == curve.points
-    # Comment lines are tolerated in front of the header.
-    body = path.read_text()
-    path.write_text("# manifest: abc\n" + body)
-    again = rb.DecayCurve.from_csv(str(path))
-    assert again.points == curve.points
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ms=st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=12, unique=True),
+       data=st.data(), digest=st.none() | st.text("0123456789abcdef", min_size=64,
+                                                    max_size=64))
+def test_decay_curve_roundtrip(tmp_path_factory, ms, data, digest):
+    # any curve survives to_csv/from_csv exactly, with or without the
+    # manifest line, and is written with LF line ends only
+    pts = tuple((m, data.draw(FINITE), data.draw(FINITE.map(abs)),
+                 data.draw(st.integers(0, 10 ** 6)), data.draw(st.integers(0, 10 ** 6)))
+                for m in sorted(ms))
+    curve = rb.DecayCurve(points=pts)
+    path = tmp_path_factory.mktemp("curve") / "curve.csv"
+    curve.to_csv(str(path), manifest_digest=digest)
+    blob = path.read_bytes()
+    assert b"\r" not in blob
+    first = blob.split(b"\n", 1)[0].decode()
+    assert first == ("m,V,stderr,n_sequences,n_shots" if digest is None
+                     else "# manifest: " + digest)
+    assert rb.DecayCurve.from_csv(str(path)).points == curve.points
+
+
+def test_decay_curve_rejects_unsorted_lengths():
     with pytest.raises(ValueError):
         rb.DecayCurve(points=((2, 0.5, 0.01, 5, 0), (1, 0.6, 0.01, 5, 0)))
 
@@ -173,12 +186,12 @@ def test_v1_approx_design_limits():
 # Monte Carlo estimator
 
 
-def test_run_sequence_identity_noise():
+def test_monte_carlo_identity_noise():
     cfg = base_config(noise=channels.identity_ptm(1), t_order=1,
-                      o_ini=P0, o_meas=P0)
-    rng = np.random.default_rng(3)
-    for m in (1, 3):
-        assert abs(rb.run_sequence(cfg, m, rng) - 1.0) < 1e-12
+                      o_ini=P0, o_meas=P0, sequence_lengths=(1, 3))
+    curve = rb.v_t_monte_carlo(cfg)
+    assert np.abs(curve.values - 1.0).max() < 1e-12
+    assert np.all(curve.stderrs == 0.0)
 
 
 def test_monte_carlo_reproducible():
@@ -251,10 +264,9 @@ def test_non_cp_noise_fails_fast():
     # negative outcome probability instead of being clipped in silence.
     noise = channels.PTM(q=1, matrix=np.diag([1.0, 1.5, 1.5, 1.5]))
     cfg = base_config(noise=noise, t_order=1, sequence_lengths=(1, 2))
-    with pytest.raises(ValueError, match="m = 1, sequence 0"):
+    with pytest.raises(ValueError,
+                       match="m = 1, sequence 0: the noise is not completely positive"):
         rb.v_t_monte_carlo(cfg)
-    with pytest.raises(ValueError, match="not completely positive"):
-        rb.run_sequence(cfg, 3, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
