@@ -36,18 +36,27 @@ def test_pinv_psd_identity():
     assert np.allclose(pinv, np.eye(5), atol=1e-14)
 
 
-def test_haar_unitaries_stack(rng):
+def test_haar_unitary_is_unitary(rng):
     for d in (2, 3, 4, 8):
         us = numerics.haar_unitaries(d, 50, rng)
-        assert us.shape == (50, d, d)
         dev = np.abs(np.einsum("nij,nik->njk", us.conj(), us) - np.eye(d)).max()
         assert dev < 1e-12
+
+
+def test_haar_unitary_seeded():
     # seeded draws repeat bit for bit
     a = numerics.haar_unitaries(4, 3, np.random.default_rng(5))
     b = numerics.haar_unitaries(4, 3, np.random.default_rng(5))
     c = numerics.haar_unitaries(4, 3, np.random.default_rng(6))
     assert np.array_equal(a, b)
     assert np.abs(a - c).max() > 1e-3
+
+
+def test_haar_unitaries_stack(rng):
+    us = numerics.haar_unitaries(3, 50, rng)
+    assert us.shape == (50, 3, 3)
+    dev = np.abs(np.einsum("nij,nik->njk", us.conj(), us) - np.eye(3)).max()
+    assert dev < 1e-12
 
 
 def test_haar_unitary_first_moment(rng):
