@@ -343,22 +343,28 @@ def noise_from_config(doc: dict) -> PTM:
 
     Models: {"model": "noise1", "p":, "q":}, {"model": "noise2", ...},
     {"model": "lindblad", "t1":, "t2":, "delay":, "chi":, "include_zz":},
-    {"model": "kraus", "ops": [matrix as [[re, im], ...] rows]}.
+    {"model": "kraus", "ops": [matrix as [[re, im], ...] rows]}.  A channel
+    that is not completely positive raises ValueError naming its smallest
+    Choi eigenvalue.
     """
     model = doc.get("model")
     if model == "noise1":
-        return noise1_model(doc["p"], doc["q"])
-    if model == "noise2":
-        return noise2_model(doc["p"], doc["q"])
-    if model == "lindblad":
-        return lindblad_ptm(doc["t1"], doc["t2"], chi=doc.get("chi", 0.0),
-                            delay=doc["delay"],
-                            include_zz=doc.get("include_zz", False))
-    if model == "kraus":
+        l = noise1_model(doc["p"], doc["q"])
+    elif model == "noise2":
+        l = noise2_model(doc["p"], doc["q"])
+    elif model == "lindblad":
+        l = lindblad_ptm(doc["t1"], doc["t2"], chi=doc.get("chi", 0.0), delay=doc["delay"],
+                         include_zz=doc.get("include_zz", False))
+    elif model == "kraus":
         ops = tuple(np.array([[complex(re, im) for re, im in row] for row in op])
                     for op in doc["ops"])
-        return ptm_from_kraus(KrausChannel(ops))
-    raise ValueError(f"unknown noise model {model!r}")
+        l = ptm_from_kraus(KrausChannel(ops))
+    else:
+        raise ValueError(f"unknown noise model {model!r}")
+    if not l.is_cp():
+        raise ValueError("noise model is not completely positive: smallest Choi "
+                         f"eigenvalue {np.linalg.eigvalsh(l.choi()).min():.3g}")
+    return l
 
 
 def load_noise_config(path: str) -> PTM:

@@ -12,24 +12,30 @@ Three families live here:
 
 Verification is moment based: ensemble averages of U^(x r) (x) conj(U)^(x s)
 are compared against the exact Haar values from the ``haar`` module, either
-exactly (explicit ensembles) or by seeded sampling with a 3 sigma criterion
-(product ensembles).  Frame potentials provide the scalar cross-check.
+exactly (explicit ensembles, and products of whole Clifford-group layers with
+fixed unitaries, in the Clifford commutant) or by seeded sampling with a
+3 sigma criterion (other product ensembles).  Frame potentials provide the
+scalar cross-check.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import haar, numerics, zonal
+from . import haar, numerics, paulis, zonal
 
 PHASE_TOL = 1e-8
 ROUND_DECIMALS = 7
 # elements of one BFS level multiplied by the generators in one stacked matmul
 CLOSURE_CHUNK = 512
+# largest deviation of a Clifford element's Pauli image from a signed Pauli
+CLIFFORD_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +437,6 @@ class CircuitDescriptor:
     rotation_layers: tuple[tuple[zonal.SphericalLabel, np.ndarray], ...]
     base_case: Optional[UnitaryEnsemble] = None
 
-    @property
-    def n_design_layers(self) -> int:
-        return 1 if self.base_case is not None else len(self.rotation_layers) + 1
-
     def to_ensemble(self) -> UnitaryEnsemble:
         if self.base_case is not None:
             return self.base_case
@@ -551,15 +553,20 @@ def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
     is zero for r != s); otherwise only the diagonal r = s moments that
     define an ordinary design, which is the right test for projective
     ensembles whose stored representatives carry no phases.  Explicit
-    ensembles are averaged exactly and compared at ``tol``; product
-    ensembles are sampled ``mc_samples`` times and compared at three
-    standard errors.  ``frame_potential_mode`` "auto" adds the frame
-    potential at order t and "skip" leaves it out.
+    ensembles are averaged exactly and compared at ``tol``; so are the
+    diagonal moments, t <= 4, of a product C V_1 C ... V_k C of whole
+    Clifford-group layers and fixed unitaries, in the Clifford commutant
+    (mode "commutant", no moment budget).  Other product ensembles are
+    sampled ``mc_samples`` times and compared at three standard errors.
+    ``frame_potential_mode`` "auto" adds the frame potential at order t and
+    "skip" leaves it out.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if frame_potential_mode not in ("auto", "skip"):
         raise ValueError(f"unknown frame_potential_mode {frame_potential_mode!r}")
+    if e.kind == "product" and mc_samples is None and not strong and t <= 4:
+        return _verify_in_commutant(e, t, tol, frame_potential_mode)
     pairs = [(r, s) for r in range(t + 1) for s in range(t + 1)
              if strong or r == s]
     exact = e.kind == "explicit" and mc_samples is None
@@ -617,10 +624,10 @@ def frame_potential(e: UnitaryEnsemble, t: int, mode: str = "exact-pairs",
     """Frame potential E |tr(U^dag V)|^(2t) of an ensemble.
 
     Modes: "exact-pairs" sums every ordered pair of an explicit ensemble
-    (guarded at 1e9 pairs); "interleaved-reduced" evaluates the collapsed
-    group average (1/|C|^2) sum |tr(Uc^dag C Uc C')|^(2t) of a three-layer
-    product C * Uc * C; "mc" samples independent pairs and reports a
-    standard error.  Always at least the Haar value.
+    (guarded at 1e9 pairs); "interleaved-reduced" evaluates a product
+    C V_1 C ... V_k C of whole Clifford-group layers and fixed unitaries
+    exactly in the Clifford commutant, for t <= 4; "mc" samples independent
+    pairs and reports a standard error.  Always at least the Haar value.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -633,19 +640,8 @@ def frame_potential(e: UnitaryEnsemble, t: int, mode: str = "exact-pairs",
         flat = e.elements.reshape(n, -1)
         return _trace_power_sum(flat.conj(), flat, t) / (n * n), None
     if mode == "interleaved-reduced":
-        layers = e.layers if e.kind == "product" else None
-        ok = (layers is not None and len(layers) == 3
-              and isinstance(layers[0], EnsembleLayer)
-              and isinstance(layers[1], FixedLayer)
-              and isinstance(layers[2], EnsembleLayer))
-        if not ok:
-            raise ValueError("interleaved-reduced needs layers [ensemble, fixed, ensemble]")
-        group = layers[0].ensemble.elements
-        uc = layers[1].matrix
-        n = group.shape[0]
-        conj_flat = np.einsum("ba,nbc,cd->nad", uc.conj().T, group, uc).reshape(n, -1)
-        right_flat = group.transpose(0, 2, 1).reshape(n, -1)
-        return _trace_power_sum(conj_flat, right_flat, t) / (n * n), None
+        moment, _ = _commutant_moment(*_clifford_layers(e), t)
+        return float((np.abs(moment) ** 2).sum()), None
     if mode == "mc":
         rng = np.random.default_rng(seed)
         u = e.sample(rng, samples)
@@ -664,6 +660,133 @@ def _trace_power_sum(left: np.ndarray, right: np.ndarray, t: int) -> float:
         tr = left[start:start + chunk] @ right.T
         total += (np.abs(tr) ** (2 * t)).sum()
     return total
+
+
+# ---------------------------------------------------------------------------
+# Clifford-layered designs in the Clifford commutant
+
+
+def _clifford_layers(e: UnitaryEnsemble) -> tuple[int, list[np.ndarray]]:
+    """Qubit count and fixed matrices of a product C V_1 C ... V_k C whose
+    ensemble layers are each the whole projective Clifford group.
+
+    |C_q| elements, distinct modulo phase, each mapping every X_j and Z_j
+    to a signed Pauli, are the projective Clifford group; any other layer
+    or layout raises ValueError.
+    """
+    layers = e.layers if e.kind == "product" else ()
+    q = e.d.bit_length() - 1
+    if not (len(layers) % 2 == 1 and e.d == 2 ** q >= 2
+            and all(isinstance(x, EnsembleLayer) for x in layers[::2])
+            and all(isinstance(x, FixedLayer) for x in layers[1::2])):
+        raise ValueError("the Clifford commutant needs qubit layers "
+                         "[clifford, fixed, clifford, ..., clifford]")
+    order = 2 ** (q * q + 2 * q) * math.prod(4 ** j - 1 for j in range(1, q + 1))
+    basis = paulis.pauli_basis(q)
+    # the normalised X_j and Z_j; row-major vec(M) @ coords = (tr(B_k M))_k
+    gens = basis[[c * 4 ** j for j in range(q) for c in (1, 3)]]
+    coords = basis.transpose(0, 2, 1).reshape(len(basis), -1).T
+    # a layer object repeated in the product is checked once
+    for ens in {id(x.ensemble): x.ensemble for x in layers[::2]}.values():
+        if ens.kind != "explicit" or ens.d != e.d or ens.size != order:
+            raise ValueError(f"an ensemble layer is not the {order}-element "
+                             f"{q}-qubit Clifford group")
+        u = ens.elements
+        if len(set(_round_keys(_canonical_phases(u)))) != order:
+            raise ValueError("a Clifford layer repeats an element modulo phase")
+        images = np.einsum("nab,gbc,ndc->ngad", u, gens, u.conj(), optimize=True)
+        top = np.abs(images.reshape(-1, e.d * e.d) @ coords).max(axis=1)
+        if np.abs(top - 1.0).max() > CLIFFORD_TOL:
+            raise ValueError("a Clifford layer maps some X_j or Z_j off the signed Paulis")
+    return q, [x.matrix for x in layers[1::2]]
+
+
+@functools.lru_cache(maxsize=None)
+def _permuted_traces(d: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables for tr(P_a^-1 P_b X) = tr(P_s X) over S_t on (C^d)^(x t).
+
+    ``pairs[a, b]`` is the position of s = a^-1 b in haar._permutations(t),
+    and tr(P_s X) = sum_j X[j, cols[s, j]].
+    """
+    perms = haar._permutations(t)
+    position = {p: i for i, p in enumerate(perms)}
+    inverse = np.argsort(np.array(perms), axis=1)
+    pairs = np.array([[position[tuple(a[list(b)])] for b in perms] for a in inverse])
+    cols = np.array([haar.perm_operator(p, d).argmax(axis=0) for p in perms])
+    return pairs, cols
+
+
+def _commutant_moment(q: int, fixed: Sequence[np.ndarray],
+                      t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order-t moment operator of C V_1 C ... V_k C and the Haar projector,
+    both in whitened coordinates of the Clifford commutant.
+
+    The commutant of C^(x t) is spanned by the operators R_i: the
+    permutations P_a, and at t = 4 also the products P_a Q (Zhu, Kueng,
+    Grassl, Gross, arXiv:1609.08172).  The moment operator is
+    Pi A_1 Pi ... A_k Pi, with Pi the projector onto the commutant and
+    A = Ad V^(x t).  With G_ij = tr(R_i^dag R_j) and
+    K_ij = tr(R_i^dag V^(x t) R_j V^(x t)dag), it is R X R^dag in
+    coordinates where X = prod_k G^(+1/2) K_k G^(+1/2), so its Frobenius
+    norm is that of X; the Haar projector onto the permutations becomes
+    G^(+1/2) G[:, S] G[S, S]^+ G[S, :] G^(+1/2).  Q and V^(x t) commute with
+    every permutation, so each entry is a trace tr(P_s Y) with Y one of
+    I, Q, Q_V = V^(x 4) Q V^(x 4)dag and Q Q_V.
+    """
+    if t > 4:
+        raise ValueError(f"the Clifford commutant is coded for t <= 4, not t = {t}")
+    d = 2 ** q
+    pairs, cols = _permuted_traces(d, t)
+    rows = np.arange(d ** t)
+
+    def traces(y):
+        return y[rows, cols].sum(axis=1)[pairs]
+
+    perm_gram = haar._gram(d, t)
+    if t < 4:
+        # the Clifford group is a 3-design: the permutations span it all
+        gram, kernels = perm_gram, [perm_gram] * len(fixed)
+    else:
+        # Q = d^-2 sum_P P^(x 4): the fourth powers of the normalised Paulis
+        k2 = haar._kron_power(paulis.pauli_basis(q), 2).reshape(d * d, -1)
+        qop = (k2.T @ k2).reshape((d * d,) * 4).transpose(0, 2, 1, 3).reshape(d ** 4, -1)
+        tq = traces(qop)
+        gram = np.block([[perm_gram, tq], [tq, tq]])
+        kernels = []
+        for v in fixed:
+            w = haar._kron_power(np.asarray(v)[None], 4)[0]
+            qv = w @ qop @ w.conj().T
+            kernels.append(np.block([[perm_gram, traces(qv)], [tq, traces(qop @ qv)]]))
+    root, _ = numerics.pinv_psd(gram, power=0.5)
+    moment = root @ gram @ root
+    for k in kernels:
+        moment = moment @ (root @ k @ root)
+    n = len(perm_gram)
+    haar_part = root @ gram[:, :n] @ haar._gram_pinv(d, t)[0] @ gram[:n] @ root
+    return moment, haar_part
+
+
+def _verify_in_commutant(e: UnitaryEnsemble, t: int, tol: float,
+                         frame_potential_mode: str) -> DesignReport:
+    """Exact diagonal residuals ||M_k - P_Haar||_F, k <= t <= 4, of a
+    Clifford-layered product design; residual^2 = FP - FP_Haar."""
+    try:
+        q, fixed = _clifford_layers(e)
+    except ValueError as exc:
+        raise ValueError(f"product ensembles require mc_samples, except Clifford-layered "
+                         f"ones: {exc}") from None
+    residuals = {(0, 0): 0.0}
+    for k in range(1, t + 1):
+        moment, haar_part = _commutant_moment(q, fixed, k)
+        residuals[(k, k)] = float(np.sqrt((np.abs(moment - haar_part) ** 2).sum()))
+    fp = haar_fp = None
+    if frame_potential_mode != "skip":
+        fp = float((np.abs(moment) ** 2).sum())
+        haar_fp = haar.haar_frame_potential(e.d, t)
+    return DesignReport(d=e.d, t_checked=t, strong=False, mode="commutant", tol=tol,
+                        residuals=residuals, stderrs=None, frame_potential=fp,
+                        frame_potential_stderr=None, haar_frame_potential=haar_fp,
+                        passed=all(v <= tol for v in residuals.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,14 @@ def matexp(a: np.ndarray) -> np.ndarray:
     return _require_finite(scipy.linalg.expm(a), "matexp")
 
 
-def pinv_psd(g: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, int]:
+def pinv_psd(g: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,
+             power: float = 1.0) -> tuple[np.ndarray, int]:
     """Moore-Penrose pseudoinverse of a symmetric PSD matrix, with its rank.
 
     Rank counts singular values above ``rank_tol`` times the largest one.
-    Returns ``(pinv, rank)``; an all-zero input gives ``(zeros, 0)``.
+    Returns ``(pinv, rank)``; an all-zero input gives ``(zeros, 0)``.  With
+    ``power`` p the kept eigenvalues are raised to -p instead of -1, so
+    p = 0.5 gives the pseudoinverse square root.
     """
     g = _require_square(g)
     if np.linalg.norm(g - g.conj().T) > 1e-8 * max(1.0, np.linalg.norm(g)):
@@ -50,7 +53,7 @@ def pinv_psd(g: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndar
     keep = svals > rank_tol * smax
     rank = int(np.count_nonzero(keep))
     inv_vals = np.zeros_like(vals)
-    inv_vals[keep] = 1.0 / vals[keep]
+    inv_vals[keep] = vals[keep] ** -power
     pinv = (vecs * inv_vals) @ vecs.conj().T
     return _require_finite(pinv, "pinv"), rank
 

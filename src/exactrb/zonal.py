@@ -18,7 +18,7 @@ sampled Haar moments of x and evaluates it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,23 +45,6 @@ class SphericalLabel:
             raise ValueError("partition length exceeds d1")
         if self.d1 * 2 > self.d:
             raise ValueError("need d1 <= d/2")
-
-
-@dataclass(frozen=True)
-class ZonalPolynomial:
-    """Rank-one zonal function as a polynomial in x = cos^2(theta).
-
-    ``coefficients`` are monomial coefficients, ascending degree, scaled so
-    the value at x = 1 is 1.
-    """
-
-    k: int
-    d: int
-    coefficients: np.ndarray = field(repr=False)
-
-    def eval(self, x):
-        """Evaluate at x via the recurrence (stable for all k used here)."""
-        return _jacobi_shifted(self.k, self.d, np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -113,33 +96,6 @@ def _jacobi_shifted(k: int, d: int, x):
     for i in range(1, k + 1):
         norm *= (alpha + i) / i
     return p_cur / norm
-
-
-def zonal_poly_rank1(k: int, d: int) -> ZonalPolynomial:
-    """Zonal polynomial for label (k, 0, ..., 0, -k) on U(d), d1 = 1.
-
-    Built by the Jacobi three-term recurrence; coefficients in the monomial
-    basis of x, normalized to value 1 at x = 1.  All k zeros lie in (0, 1).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    # recurrence in coefficient space; u = 2x - 1
-    u = np.polynomial.Polynomial([-1.0, 2.0])
-    alpha = d - 2
-    p_prev = np.polynomial.Polynomial([1.0])
-    p_cur = (alpha + 1.0) + (alpha + 2.0) * (u - 1.0) / 2.0
-    for n in range(2, k + 1):
-        a = 2.0 * n * (n + alpha) * (2.0 * n + alpha - 2.0)
-        b = (2.0 * n + alpha - 1.0) * ((2.0 * n + alpha) * (2.0 * n + alpha - 2.0) * u + alpha ** 2)
-        c = 2.0 * (n + alpha - 1.0) * (n - 1.0) * (2.0 * n + alpha)
-        p_cur, p_prev = (b * p_cur - c * p_prev) / a, p_cur
-    norm = 1.0
-    for i in range(1, k + 1):
-        norm *= (alpha + i) / i
-    coeffs = p_cur.coef / norm
-    return ZonalPolynomial(k=k, d=d, coefficients=coeffs)
 
 
 def _roots_in_unit_interval(k: int, d: int) -> np.ndarray:
@@ -245,26 +201,3 @@ def gate_count_estimate(n_qubits: int, t: int) -> float:
     if n_qubits < 1 or t < 1:
         raise ValueError("need n_qubits >= 1 and t >= 1")
     return float(np.exp(np.pi * np.sqrt(2.0 * t / 3.0) * (n_qubits - 1)))
-
-
-def partition_count(n: int) -> int:
-    """Number of integer partitions of n, by Euler's pentagonal recurrence."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    p = [1] + [0] * n
-    for m in range(1, n + 1):
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            g2 = j * (3 * j + 1) // 2
-            if g1 > m and g2 > m:
-                break
-            sign = -1 if j % 2 == 0 else 1
-            if g1 <= m:
-                total += sign * p[m - g1]
-            if g2 <= m:
-                total += sign * p[m - g2]
-            j += 1
-        p[m] = total
-    return p[n]

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from exactrb import channels, cli, designs, haar, rb
+from exactrb import channels, cli, designs, haar, numerics, paulis, rb
 
 
 def run(*argv):
@@ -72,6 +72,43 @@ def test_design_verify_over_budget(tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "r.json")) == cli.EXIT_USAGE
     assert "d = 2, t = 4 needs" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_design_verify_commutant(tmp_path):
+    # the interleaved 4-design is certified at t = 4 in the Clifford
+    # commutant, without samples and with the same bytes at 1 and 2 BLAS
+    # threads; its six-digit U_c angles leave a residual of 7.9e-7
+    design = tmp_path / "d.json"
+    assert run("design", "build", "--type", "interleaved-4design",
+               "--out", str(design)) == cli.EXIT_PASS
+    reports = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / ("threads" + threads)
+        cwd.mkdir()
+        proc = _main_in_fresh_process(
+            cwd, "--threads", threads, "design", "verify", "--design", str(design),
+            "--t", "4", "--tol", "1e-6", "--out", "r.json")
+        assert proc.returncode == cli.EXIT_PASS, proc.stdout + proc.stderr
+        reports.append((cwd / "r.json").read_bytes())
+    assert reports[0] == reports[1]
+    doc = json.loads(reports[0])
+    assert doc["mode"] == "commutant" and doc["passed"] is True
+    assert doc["stderrs"] is None
+    assert abs(doc["residuals"]["4,4"] ** 2 - (doc["frame_potential"] - 24.0)) < 1e-12
+
+    # a U_c kicked off the design fails the same check
+    doc = read_json(design)
+    kick = numerics.matexp(0.05j * np.kron(paulis.X, paulis.Z))
+    uc = designs._matrix_from_json(doc["layers"][1]["matrix"])
+    doc["layers"][1]["matrix"] = designs._matrix_to_json(uc @ kick)
+    perturbed = tmp_path / "perturbed.json"
+    perturbed.write_text(json.dumps(doc))
+    report = tmp_path / "rp.json"
+    assert run("design", "verify", "--design", str(perturbed), "--t", "4",
+               "--tol", "1e-6", "--out", str(report)) == cli.EXIT_FAIL
+    doc = read_json(report)
+    assert doc["mode"] == "commutant" and doc["passed"] is False
+    assert doc["residuals"]["4,4"] > 1e-3
 
 
 def test_design_verify_missing_file(tmp_path):
@@ -263,6 +300,26 @@ def test_rb_bad_noise_model(tmp_path):
     write_rb_config(str(cfg), noise={"model": "nope"})
     assert run("rb", "--config", str(cfg), "--mode", "exact",
                "--out-dir", str(tmp_path / "out")) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["rb", "metrics"])
+def test_non_cp_noise_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    # lindblad with a negative delay is trace preserving but not completely
+    # positive: refused while the config is read, naming the eigenvalue
+    monkeypatch.setattr(rb, "v_t_monte_carlo", None)
+    noise = {"model": "lindblad", "t1": 10, "t2": 5, "delay": -1}
+    if command == "rb":
+        cfg = tmp_path / "rb.json"
+        write_rb_config(str(cfg), noise=noise)
+        argv = ["rb", "--config", str(cfg), "--mode", "mc", "--out-dir",
+                str(tmp_path / "out")]
+    else:
+        cfg = tmp_path / "noise.json"
+        cfg.write_text(json.dumps(noise))
+        argv = ["metrics", "--noise", str(cfg), "--out", str(tmp_path / "met.json")]
+    assert run(*argv) == cli.EXIT_USAGE
+    assert "smallest Choi eigenvalue -0.085" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
 
 def test_metrics_command(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from exactrb import designs, haar, numerics, zonal
+from exactrb import designs, haar, numerics, paulis, zonal
 
 
 # The one-product-at-a-time closure that designs._closure replaced, kept
@@ -106,6 +106,27 @@ def _reference_moment_stderr(stack, r, s, mean):
     var = sq / n - np.abs(mean) ** 2
     var = np.clip(var, 0.0, None)
     return float(np.sqrt(var.sum() / n))
+
+
+# The pair sum that frame_potential(mode="interleaved-reduced") evaluated
+# before the Clifford commutant kernel, kept verbatim as its reference:
+# (1/|C|^2) sum |tr(Uc^dag C Uc C')|^(2t) over a three-layer product C Uc C.
+
+def _reference_interleaved_pairs(e, t):
+    group = e.layers[0].ensemble.elements
+    uc = e.layers[1].matrix
+    n = group.shape[0]
+    conj_flat = np.einsum("ba,nbc,cd->nad", uc.conj().T, group, uc).reshape(n, -1)
+    right_flat = group.transpose(0, 2, 1).reshape(n, -1)
+    return designs._trace_power_sum(conj_flat, right_flat, t) / (n * n)
+
+
+def _clifford_layered(group, *fixed):
+    """Product design group V_1 group V_2 ... group."""
+    layers = [designs.EnsembleLayer(group)]
+    for v in fixed:
+        layers += [designs.FixedLayer(v), designs.EnsembleLayer(group)]
+    return designs.UnitaryEnsemble(d=group.d, kind="product", layers=tuple(layers))
 
 
 def _assert_moments_match_reference(stack, r, s):
@@ -351,23 +372,138 @@ def test_frame_potential_modes_agree(rng):
 
 
 def test_frame_potential_reduced_mode_matches_pairs():
-    # With the identity in the middle, the three-layer reduction collapses
-    # to the plain pair sum of the outer ensemble.
-    e = designs.icosahedral_group()
-    prod = designs.UnitaryEnsemble(
-        d=2, kind="product",
-        layers=(designs.EnsembleLayer(e),
-                designs.FixedLayer(np.eye(2, dtype=complex)),
-                designs.EnsembleLayer(e)))
-    red, _ = designs.frame_potential(prod, 4, mode="interleaved-reduced")
-    pairs, _ = designs.frame_potential(e, 4, mode="exact-pairs")
-    assert abs(red - pairs) < 1e-9
+    # With the identity in the middle, C1 I C1 is C1 itself, as is one C1
+    # layer alone: the commutant frame potential equals the plain pair sum
+    # of the Clifford group.
+    c1 = designs.clifford_group(1)
+    pairs, _ = designs.frame_potential(c1, 4, mode="exact-pairs")
+    for prod in (_clifford_layered(c1, np.eye(2, dtype=complex)), _clifford_layered(c1)):
+        red, _ = designs.frame_potential(prod, 4, mode="interleaved-reduced")
+        assert abs(red - pairs) < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), t=st.integers(1, 4))
+def test_commutant_frame_potential_matches_pair_sum(seed, t):
+    c1 = designs.clifford_group(1)
+    v = numerics.haar_unitaries(2, 1, np.random.default_rng(seed))[0]
+    e = _clifford_layered(c1, v)
+    fp, se = designs.frame_potential(e, t, mode="interleaved-reduced")
+    assert se is None
+    assert abs(fp - _reference_interleaved_pairs(e, t)) <= 1e-9
+
+
+def test_commutant_frame_potential_perturbed_uc():
+    # a U_c off the design: both evaluations see the same excess over 24
+    kick = numerics.matexp(0.05j * np.kron(paulis.X, paulis.Z))
+    e = _clifford_layered(designs.clifford_group(2), designs.uc_unitary() @ kick)
+    fp, _ = designs.frame_potential(e, 4, mode="interleaved-reduced")
+    ref = _reference_interleaved_pairs(e, 4)
+    assert fp - 24.0 > 1e-6
+    assert abs(fp - ref) <= 1e-9
+
+
+def test_commutant_frame_potential_of_clifford_groups():
+    # one Clifford layer alone: C2's frame potential is 29 at t = 4 (Zhu,
+    # Kueng, Grassl, Gross); below t = 4 the groups give Haar's values
+    c2 = _clifford_layered(designs.clifford_group(2))
+    assert abs(designs.frame_potential(c2, 4, mode="interleaved-reduced")[0] - 29.0) < 1e-9
+    c1 = _clifford_layered(designs.clifford_group(1))
+    for t in (1, 2, 3):
+        for e in (c1, c2):
+            fp, _ = designs.frame_potential(e, t, mode="interleaved-reduced")
+            assert abs(fp - haar.haar_frame_potential(e.d, t)) < 1e-12
 
 
 def test_frame_potential_reduced_mode_rejects_wrong_shape():
-    e = designs.icosahedral_group()
-    with pytest.raises(ValueError):
-        designs.frame_potential(e, 4, mode="interleaved-reduced")
+    ico = designs.icosahedral_group()
+    c1 = designs.clifford_group(1)
+    eye = np.eye(2, dtype=complex)
+    # a phase copy of another element: 24 elements, 23 distinct modulo phase
+    repeated = c1.elements.copy()
+    repeated[5] = 1j * repeated[4]
+    # a rotation off the Clifford group in place of one element
+    off = c1.elements.copy()
+    off[5] = numerics.matexp(0.1j * paulis.X)
+    bad = {
+        "explicit": (ico, "qubit layers"),
+        "icosahedral layers": (_clifford_layered(ico, eye), "24-element 1-qubit"),
+        "mismatched layers": (designs.UnitaryEnsemble(d=2, kind="product", layers=(
+            designs.EnsembleLayer(c1), designs.FixedLayer(eye),
+            designs.EnsembleLayer(ico))), "24-element 1-qubit"),
+        "two fixed layers": (designs.UnitaryEnsemble(d=2, kind="product", layers=(
+            designs.EnsembleLayer(c1), designs.FixedLayer(eye), designs.FixedLayer(eye))),
+            "qubit layers"),
+        "repeated element": (_clifford_layered(designs.UnitaryEnsemble(
+            d=2, kind="explicit", elements=repeated), eye), "repeats"),
+        "non-Clifford element": (_clifford_layered(designs.UnitaryEnsemble(
+            d=2, kind="explicit", elements=off), eye), "off the signed Paulis"),
+    }
+    for e, message in bad.values():
+        with pytest.raises(ValueError, match=message):
+            designs.frame_potential(e, 4, mode="interleaved-reduced")
+    with pytest.raises(ValueError, match="t <= 4, not t = 5"):
+        designs.frame_potential(_clifford_layered(c1, eye), 5, mode="interleaved-reduced")
+
+
+@pytest.mark.parametrize("n_fixed", [0, 1, 2])
+def test_commutant_residuals_match_dense(n_fixed):
+    # C1 V_1 C1 ... multiplied out to its 24^(n_fixed + 1) explicit elements
+    c1 = designs.clifford_group(1)
+    fixed = numerics.haar_unitaries(2, n_fixed, np.random.default_rng(7 + n_fixed))
+    elements = c1.elements
+    for v in fixed:
+        elements = np.einsum("iab,bc,jcd->ijad", elements, v, c1.elements).reshape(-1, 2, 2)
+    explicit = designs.UnitaryEnsemble(d=2, kind="explicit", elements=elements)
+    layered = _clifford_layered(c1, *fixed)
+    for t in range(1, 5):
+        dense = designs.verify_strong_design(explicit, t, strong=False)
+        reduced = designs.verify_strong_design(layered, t, strong=False)
+        assert reduced.mode == "commutant"
+        assert reduced.stderrs is None
+        assert reduced.residuals.keys() == dense.residuals.keys()
+        for cell, value in dense.residuals.items():
+            assert abs(reduced.residuals[cell] - value) <= 1e-10
+        assert reduced.passed == dense.passed
+        if dense.frame_potential_stderr is None:
+            # pair sums up to 4e6 pairs; 24^3 elements get a sampled one
+            assert abs(reduced.frame_potential - dense.frame_potential) <= 1e-9
+        assert reduced.haar_frame_potential == dense.haar_frame_potential
+        # residual^2 is the frame potential's excess over Haar
+        excess = reduced.frame_potential - reduced.haar_frame_potential
+        assert abs(reduced.residuals[(t, t)] ** 2 - excess) <= 1e-12
+
+
+# U_c's angles refined from their six-digit values by a least-squares solve
+# of the t = 4 residual; the shipped angles leave a residual of 7.9e-7.
+_REFINED_UC = (1.500969861322, 5.698980002731, 2.531810048771, 1.253830052149,
+               0.017000074077, 6.211269985387, 0.376407076862, 0.368785937979,
+               3.690139781934, 4.663350432756, 3.048539813481, 1.455240158488,
+               0.337422922193, 3.381370172705, 3.825030148973)
+
+
+def test_commutant_verifies_interleaved_design_exactly(monkeypatch):
+    e = designs.interleaved_clifford_design()
+    report = designs.verify_strong_design(e, 4, strong=False)
+    assert report.mode == "commutant"
+    assert 1e-7 < report.residuals[(4, 4)] < 1e-6
+    assert max(report.residuals[(k, k)] for k in range(4)) < 1e-13
+    # the kernel has no cancellation floor: with refined angles the same
+    # check passes at the default 1e-10
+    a = _REFINED_UC
+    for name, value in (("_UC_ANGLES_A", a[0:3]), ("_UC_ANGLES_A2", a[3:6]),
+                        ("_UC_PHIS", a[6:9]), ("_UC_ANGLES_B", a[9:12]),
+                        ("_UC_ANGLES_B2", a[12:15])):
+        monkeypatch.setattr(designs, name, value)
+    e = _clifford_layered(e.layers[0].ensemble, designs.uc_unitary())
+    report = designs.verify_strong_design(e, 4, strong=False)
+    assert report.passed
+    assert report.residuals[(4, 4)] < 1e-11
+    assert abs(report.frame_potential - 24.0) < 1e-12
+    # strong checks and orders above 4 still need samples
+    for kwargs in ({"t": 4, "strong": True}, {"t": 5, "strong": False}):
+        with pytest.raises(ValueError, match="require mc_samples"):
+            designs.verify_strong_design(e, **kwargs)
 
 
 def test_verify_product_requires_samples():
@@ -479,7 +615,6 @@ def test_load_design_rejects_other_files(tmp_path):
 def test_circuit_descriptor_base_case():
     desc = designs.build_qubit_circuit_descriptor(1, 2)
     assert desc.n_qubits == 1
-    assert desc.n_design_layers == 1
     e = desc.to_ensemble()
     report = designs.verify_strong_design(e, 2, tol=1e-10,
                                           frame_potential_mode="skip")
@@ -498,7 +633,6 @@ def test_circuit_descriptor_with_tables():
     tables = {(2, (1,)): np.array([0.1, 0.2])}
     desc = designs.build_qubit_circuit_descriptor(2, 1, tables)
     assert desc.n_qubits == 2
-    assert desc.n_design_layers == 2
     e = desc.to_ensemble()
     assert e.kind == "product"
     u = e.sample(np.random.default_rng(1), 8)

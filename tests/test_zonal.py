@@ -1,4 +1,4 @@
-"""Spherical labels, rank-one zonal polynomials, roots, and rotation angles."""
+"""Spherical labels, the rank-one zonal recurrence, roots, and rotation angles."""
 
 import numpy as np
 import pytest
@@ -40,14 +40,14 @@ def test_enumerate_labels_deterministic():
 def test_poly_normalized_at_one():
     for k in (1, 2, 3, 5):
         for d in (2, 3, 4):
-            assert abs(zonal.zonal_poly_rank1(k, d).eval(1.0) - 1.0) < 1e-13
+            assert abs(zonal._jacobi_shifted(k, d, 1.0) - 1.0) < 1e-13
 
 
 def test_poly_known_roots():
-    assert abs(zonal.zonal_poly_rank1(1, 2).eval(0.5)) < 1e-14
+    assert abs(zonal._jacobi_shifted(1, 2, 0.5)) < 1e-14
     r = (1.0 + 1.0 / np.sqrt(3.0)) / 2.0
-    assert abs(zonal.zonal_poly_rank1(2, 2).eval(r)) < 1e-13
-    assert abs(zonal.zonal_poly_rank1(1, 3).eval(1.0 / 3.0)) < 1e-14
+    assert abs(zonal._jacobi_shifted(2, 2, r)) < 1e-13
+    assert abs(zonal._jacobi_shifted(1, 3, 1.0 / 3.0)) < 1e-14
 
 
 def test_poly_orthogonality():
@@ -59,8 +59,8 @@ def test_poly_orthogonality():
         wt = w * (1.0 - x) ** (d - 2)
         for k in (1, 2, 3):
             for j in range(k):
-                pk = zonal.zonal_poly_rank1(k, d).eval(x)
-                pj = zonal.zonal_poly_rank1(j, d).eval(x) if j else np.ones_like(x)
+                pk = zonal._jacobi_shifted(k, d, x)
+                pj = zonal._jacobi_shifted(j, d, x)
                 assert abs((wt * pk * pj).sum()) < 1e-13
 
 
@@ -92,8 +92,7 @@ def test_find_angles_root_residual():
         for d in (2, 4):
             lab = zonal.SphericalLabel(positive_part=(k,), d1=1, d=d)
             sol = zonal.find_angles(lab)
-            poly = zonal.zonal_poly_rank1(k, d)
-            assert abs(poly.eval(np.cos(sol.thetas[0]) ** 2)) < 1e-12
+            assert abs(zonal._jacobi_shifted(k, d, np.cos(sol.thetas[0]) ** 2)) < 1e-12
             assert 0.0 <= sol.thetas[0] <= np.pi / 2
 
 
@@ -140,9 +139,3 @@ def test_gate_count_estimate():
     vals_t = [zonal.gate_count_estimate(3, t) for t in range(1, 5)]
     assert all(b > a for a, b in zip(vals_t, vals_t[1:]))
 
-
-def test_partition_count():
-    assert zonal.partition_count(0) == 1
-    assert zonal.partition_count(1) == 1
-    assert zonal.partition_count(4) == 5
-    assert zonal.partition_count(10) == 42
