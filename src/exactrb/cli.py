@@ -156,6 +156,9 @@ def cmd_design_sample(args, argv) -> int:
 
     from . import designs
 
+    if args.n < 1:
+        print("--n must be at least 1, got %d" % args.n, file=sys.stderr)
+        return EXIT_USAGE
     try:
         ensemble = designs.load_design(args.design)
     except (OSError, ValueError, KeyError) as exc:
@@ -198,6 +201,10 @@ def _curve_seed(seed: int, k: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
 def cmd_rb(args, argv) -> int:
     from . import channels, irreps, paulis, rb
 
@@ -215,7 +222,20 @@ def cmd_rb(args, argv) -> int:
         if len(m_list) < need:
             raise ValueError("the %s pipeline needs at least %d sequence lengths, got %d"
                              % (pipeline, need, len(m_list)))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        alpha_norm_sq = _optional_float(cfg.get("alpha_norm_sq"))
+        u_external = _optional_float(cfg.get("u_external"))
+        if args.mode == "mc":
+            design = _load_design_arg(cfg.get(
+                "design", {"type": "icosahedral" if pipeline == "1q" else "clifford", "q": 2}))
+            n_sequences = int(cfg["n_sequences"])
+            n_shots = int(cfg.get("n_shots", 0))
+            spam = None
+            if cfg.get("spam"):
+                em = cfg["spam"].get("eta_meas", 0.0)
+                spam = rb.SPAMModel(
+                    eta_prep=float(cfg["spam"].get("eta_prep", 0.0)),
+                    eta_meas=tuple(map(float, em)) if isinstance(em, list) else float(em))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print("bad rb config: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 
@@ -238,36 +258,27 @@ def cmd_rb(args, argv) -> int:
                                            noisy_inverse=False)
     else:
         try:
-            design = _load_design_arg(cfg.get(
-                "design", {"type": "icosahedral" if q == 1 else "clifford", "q": 2}))
-            spam = None
-            if cfg.get("spam"):
-                em = cfg["spam"].get("eta_meas", 0.0)
-                spam = rb.SPAMModel(eta_prep=cfg["spam"].get("eta_prep", 0.0),
-                                    eta_meas=tuple(em) if isinstance(em, list) else em)
             for k, (name, t_order, ini, meas) in enumerate(settings):
                 rcfg = rb.RBConfig(
                     design=design, noise=noise, t_order=t_order,
-                    sequence_lengths=tuple(m_list),
-                    n_sequences=int(cfg["n_sequences"]),
-                    n_shots=int(cfg.get("n_shots", 0)),
-                    seed=_curve_seed(seed, k),
+                    sequence_lengths=tuple(m_list), n_sequences=n_sequences,
+                    n_shots=n_shots, seed=_curve_seed(seed, k),
                     o_ini=paulis.named_operator(ini),
                     o_meas=paulis.named_operator(meas), spam=spam)
                 curves[name] = rb.v_t_monte_carlo(rcfg)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             print("bad rb config: %s" % exc, file=sys.stderr)
             return EXIT_USAGE
 
     try:
         if q == 1:
             est = rb.estimate_metrics_1q(curves["v1"], curves["v2"],
-                                         alpha_norm_sq=cfg.get("alpha_norm_sq"))
+                                         alpha_norm_sq=alpha_norm_sq)
         else:
             table = {"zz_p00": curves["v2_zz_p00"], "zz_zz": curves["v2_zz_zz"],
                      "rm_rm": curves["v2_rm_rm"], "v1": curves["v1"]}
-            est = rb.estimate_metrics_2q(table, u_external=cfg.get("u_external"),
-                                         alpha_norm_sq=cfg.get("alpha_norm_sq"))
+            est = rb.estimate_metrics_2q(table, u_external=u_external,
+                                         alpha_norm_sq=alpha_norm_sq)
     except ValueError as exc:
         print("estimation failed: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -8,9 +8,9 @@ irrep bookkeeping.  For the t-th moment on U(d) the operator
 
 is the orthogonal projector onto span{vec(P_sigma) : sigma in S_t}, obtained
 from the Gram matrix G[s, t] = d^(cycles(s^-1 t)) as
-M = sum_{s,t} pinv(G)[s,t] |vec(P_t)><vec(P_s)|.  The same Gram trick with
-partially transposed permutation operators gives the two-copy twirl of
-transfer matrices used by the irrep-projector construction.
+M = sum_{s,t} pinv(G)[s,t] |vec(P_t)><vec(P_s)|.  The frame potential is
+the rank of G, and ensemble moments of unitary stacks, the other side of a
+design check, come from one GEMM per chunk.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .paulis import vec_basis_matrix
 
 MAX_T = 12
 # Memory budget of one dense moment cell, as check_moment_budget counts
@@ -147,52 +146,6 @@ def haar_frame_potential(d: int, t: int) -> int:
     if t < 1 or t > MAX_T:
         raise ValueError(f"t must be in 1..{MAX_T}")
     return _gram_pinv(d, t)[1]
-
-
-def _partial_transpose_conj_slots(p: np.ndarray, d: int) -> np.ndarray:
-    """Partial transpose of a 4-slot operator over slots 1 and 3 (0-based)."""
-    a = p.reshape((d,) * 8)
-    # axes: (o0 o1 o2 o3 | i0 i1 i2 i3) -> swap o1<->i1 and o3<->i3
-    a = a.transpose(0, 5, 2, 7, 4, 1, 6, 3)
-    return a.reshape(d ** 4, d ** 4)
-
-
-@functools.lru_cache(maxsize=None)
-def _twirl_machinery(d: int):
-    perms = _permutations(4)
-    qs = np.array([
-        _partial_transpose_conj_slots(perm_operator(s, d), d) for s in perms
-    ])
-    gram = np.einsum("aij,bij->ab", qs.conj(), qs).real
-    gram_pinv, _ = numerics.pinv_psd(gram)
-    w = vec_basis_matrix(d)
-    w2 = np.kron(w, w)
-    return qs, gram_pinv, w2
-
-
-def haar_twirl_ptm2(x: np.ndarray, d: int) -> np.ndarray:
-    """Haar average E[L_U^(x 2) X L_U^(x 2)^dag] for transfer matrices.
-
-    ``x`` acts on the two-copy operator-basis space, size (d^2)^2.  The
-    average is the orthogonal projection of ``x`` onto the span of the 24
-    partially transposed permutation operators commuting with
-    U (x) conj(U) (x) U (x) conj(U), computed via the Gram pseudoinverse,
-    then rotated back to the operator basis.
-    """
-    if d > 4:
-        raise ValueError("haar_twirl_ptm2 supports d <= 4")
-    x = np.asarray(x)
-    dim = (d * d) ** 2
-    if x.shape != (dim, dim):
-        raise ValueError(f"expected shape {(dim, dim)}, got {x.shape}")
-    qs, gram_pinv, w2 = _twirl_machinery(d)
-    y = w2 @ x @ w2.conj().T
-    coeffs = gram_pinv @ np.einsum("aij,ij->a", qs.conj(), y)
-    twirled = np.einsum("a,aij->ij", coeffs, qs)
-    out = w2.conj().T @ twirled @ w2
-    if np.abs(out.imag).max() > 1e-9:
-        raise ValueError("twirl output unexpectedly non-real in the operator basis")
-    return out.real
 
 
 def mixed_moment(stack: np.ndarray, r: int, s: int) -> np.ndarray:

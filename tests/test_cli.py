@@ -238,6 +238,51 @@ def test_rb_short_m_list_is_usage_error(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rb.json"]
 
 
+def test_rb_exact_2q_reproduces_closed_form(tmp_path):
+    # the exact 2q curves fitted back give the sector rates of noise2
+    cfg = tmp_path / "rb.json"
+    write_rb_config(str(cfg), pipeline="2q", noise={"model": "noise2", "p": 0.02, "q": 0.9},
+                    sequence_lengths=[1, 2, 3, 5, 8, 12, 17, 25, 35, 50, 70, 100, 140, 200])
+    out = tmp_path / "out"
+    assert run("rb", "--config", str(cfg), "--mode", "exact",
+               "--out-dir", str(out)) == cli.EXIT_PASS
+    rates = read_json(out / "metrics.json")["rates"]
+    want = channels.noise2_closed_form(0.02, 0.9)
+    for key in ("u", "C_I", "C_II", "C_III"):
+        assert abs(rates[key] - want[key]) < 1e-9, key
+
+
+BAD_FIELDS = {
+    "n_sequences null": ("mc", {"n_sequences": None}),
+    "n_shots list": ("mc", {"n_shots": [1]}),
+    "design t null": ("mc", {"design": {"type": "qudit", "d": 2, "t": None}}),
+    "alpha_norm_sq list": ("mc", {"alpha_norm_sq": [1]}),
+    "eta_prep string": ("mc", {"spam": {"eta_prep": "x"}}),
+    "spam string": ("mc", {"spam": "x"}),
+    "u_external string": ("exact", {"pipeline": "2q", "u_external": "abc",
+                                    "noise": {"model": "noise2", "p": 0.02, "q": 0.9}}),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FIELDS) + ["design sample --n -1"])
+def test_wrong_input_types_are_usage_errors(tmp_path, monkeypatch, case):
+    # a config field of the wrong JSON type, or a negative sample count, is
+    # refused while the input is read: exit 2, nothing written
+    monkeypatch.setattr(rb, "v_t_monte_carlo", None)
+    if case in BAD_FIELDS:
+        mode, fields = BAD_FIELDS[case]
+        cfg = tmp_path / "rb.json"
+        write_rb_config(str(cfg), sequence_lengths=list(range(1, 10)), **fields)
+        argv = ["rb", "--config", str(cfg), "--mode", mode, "--out-dir", str(tmp_path / "out")]
+    else:
+        cfg = tmp_path / "ico.json"
+        designs.save_design(designs.icosahedral_group(), str(cfg))
+        argv = ["design", "sample", "--design", str(cfg), "--n", "-1",
+                "--out", str(tmp_path / "s.json")]
+    assert run(*argv) == cli.EXIT_USAGE
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
 @pytest.fixture(scope="module")
 def contract_inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("inputs")

@@ -1,4 +1,4 @@
-"""Haar moment operators, frame potentials, and the two-copy twirl."""
+"""Haar moment operators, frame potentials, and mixed moments."""
 
 import numpy as np
 import pytest
@@ -86,16 +86,3 @@ def test_mixed_moment_haar_offdiagonal(rng):
     us = numerics.haar_unitaries(2, 20000, rng)
     assert np.abs(haar.mixed_moment(us, 2, 0)).max() < 0.05
 
-
-def test_twirl_ptm2_projects(rng):
-    # The two-copy twirl is idempotent and commutes with any L_V^(x2).
-    x = rng.standard_normal((256, 256))
-    y = haar.haar_twirl_ptm2(x, 4)
-    y2 = haar.haar_twirl_ptm2(y, 4)
-    assert np.abs(y - y2).max() < 1e-10
-    v = numerics.haar_unitaries(4, 1, rng)[0]
-    basis = paulis.pauli_basis(2)
-    # L_V[m,n] = tr(P_m V P_n V^dag) with the normalized basis.
-    lv = np.einsum("mab,bc,ncd,ad->mn", basis, v, basis, v.conj()).real
-    lv2 = np.kron(lv, lv)
-    assert np.abs(lv2 @ y - y @ lv2).max() < 1e-10

@@ -1,9 +1,11 @@
 """Two-copy sector projectors, decay rates, and overlap coefficients."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from exactrb import channels, irreps, numerics, paulis
+from exactrb import channels, haar, irreps, numerics, paulis
 
 Z = paulis.Z
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -15,8 +17,68 @@ def ptm_two_copy(l):
 
 def unitary_two_copy(u, q):
     basis = paulis.pauli_basis(q)
+    # L_U[m,n] = tr(P_m U P_n U^dag) with the normalized basis.
     lv = np.einsum("mab,bc,ncd,ad->mn", basis, u, basis, u.conj()).real
     return np.kron(lv, lv)
+
+
+def sym_traceless(q):
+    """Projector onto the symmetric two-copy vectors whose factors are both
+    traceless: (T (x) T)(I + SWAP)/2, T the projector off the identity."""
+    n = 4 ** q
+    t = np.eye(n)
+    t[0, 0] = 0.0
+    swap = np.eye(n * n).reshape(n, n, n * n).transpose(1, 0, 2).reshape(n * n, n * n)
+    return np.kron(t, t) @ (np.eye(n * n) + swap) / 2.0
+
+
+def _reference_twirl_ptm2(x, d):
+    """Haar average E[L_U^(x 2) X L_U^(x 2)^dag] for transfer matrices.
+
+    x acts on the two-copy operator-basis space, size (d^2)^2.  The average
+    is the orthogonal projection of x onto the span of the 24 permutation
+    operators on four slots, partially transposed over slots 1 and 3 so
+    that they commute with U (x) conj(U) (x) U (x) conj(U), computed via
+    the Gram pseudoinverse, then rotated back to the operator basis.
+    """
+    qs = []
+    for sigma in itertools.permutations(range(4)):
+        a = haar.perm_operator(sigma, d).reshape((d,) * 8)
+        # axes (o0 o1 o2 o3 | i0 i1 i2 i3): swap o1 <-> i1 and o3 <-> i3
+        qs.append(a.transpose(0, 5, 2, 7, 4, 1, 6, 3).reshape(d ** 4, d ** 4))
+    qs = np.array(qs)
+    gram_pinv, _ = numerics.pinv_psd(np.einsum("aij,bij->ab", qs.conj(), qs).real)
+    w = paulis.vec_basis_matrix(d)
+    w2 = np.kron(w, w)
+    y = w2 @ x @ w2.conj().T
+    coeffs = gram_pinv @ np.einsum("aij,ij->a", qs.conj(), y)
+    out = w2.conj().T @ np.einsum("a,aij->ij", coeffs, qs) @ w2
+    assert np.abs(out.imag).max() < 1e-9
+    return out.real
+
+
+def test_twirl_ptm2_projects(rng):
+    # The two-copy twirl is idempotent and commutes with any L_V^(x2).
+    x = rng.standard_normal((256, 256))
+    y = _reference_twirl_ptm2(x, 4)
+    y2 = _reference_twirl_ptm2(y, 4)
+    assert np.abs(y - y2).max() < 1e-10
+    lv2 = unitary_two_copy(numerics.haar_unitaries(4, 1, rng)[0], 2)
+    assert np.abs(lv2 @ y - y @ lv2).max() < 1e-10
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_projectors_schur_against_twirl(q, rng):
+    # Schur's lemma on the multiplicity-free traceless symmetric space: the
+    # twirl of any x, cut down to that space, is
+    # sum_lambda tr(Pi_lambda x) / dim_lambda Pi_lambda.
+    p = irreps.projector_set(q)
+    sym = sym_traceless(q)
+    assert np.abs(sum(p.projectors.values()) - sym).max() < 1e-12
+    x = rng.standard_normal(sym.shape)
+    want = sum(np.trace(pi @ x) / p.dims[lab] * pi for lab, pi in p.projectors.items())
+    got = sym @ _reference_twirl_ptm2(x, 2 ** q) @ sym
+    assert np.abs(got - want).max() < 1e-10
 
 
 def test_projector_dims():
@@ -47,13 +109,6 @@ def test_projector_invariance(q):
     lv2 = unitary_two_copy(numerics.haar_unitaries(2 ** q, 1, rng)[0], q)
     for pa in p.projectors.values():
         assert np.abs(lv2 @ pa - pa @ lv2).max() < 1e-10
-
-
-def test_projectors_2q_seed_independent():
-    a = irreps.projectors_2q(seed=0)
-    b = irreps.projectors_2q(seed=123)
-    for lab in a.labels:
-        assert np.abs(a.projectors[lab] - b.projectors[lab]).max() < 1e-10
 
 
 def test_trivial_projector_is_rank_one_line():
@@ -156,8 +211,3 @@ def test_coefficients_carry_noise_adjoint():
     for lab in base:
         assert abs(scaled[lab] - 0.25 * base[lab]) < 1e-12
 
-
-def test_traceless_symmetric_basis_orthonormal():
-    b = irreps.traceless_symmetric_basis(2)
-    assert b.shape == (120, 256)
-    assert np.abs(b @ b.T - np.eye(120)).max() < 1e-12
