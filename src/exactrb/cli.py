@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="check all mixed moments r,s <= t, not only r = s")
     pv.add_argument("--tol", type=float, default=1e-10)
     pv.add_argument("--mc-samples", type=int, default=None,
-                    help="sample count for layered designs (default: exact)")
+                    help="sample count, at least 2, for layered designs (default: exact)")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", default="design_report.json")
 

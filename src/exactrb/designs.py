@@ -535,12 +535,11 @@ class DesignReport:
         }
 
 
-def _haar_reference(d: int, r: int, s: int) -> np.ndarray:
-    if r != s:
-        return np.zeros((d ** (r + s),) * 2, dtype=complex)
-    if r == 0:
+def _haar_reference(d: int, t: int) -> np.ndarray:
+    """Haar value of the diagonal (t, t) moment; the others are zero."""
+    if t == 0:
         return np.ones((1, 1), dtype=complex)
-    return haar.haar_moment_projector(d, r).matrix
+    return haar.haar_moment_projector(d, t).matrix
 
 
 def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
@@ -565,6 +564,9 @@ def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
         raise ValueError("t must be >= 1")
     if frame_potential_mode not in ("auto", "skip"):
         raise ValueError(f"unknown frame_potential_mode {frame_potential_mode!r}")
+    if mc_samples is not None and mc_samples < 2:
+        # one sample has no standard error to compare against
+        raise ValueError(f"mc_samples must be at least 2, got {mc_samples}")
     if e.kind == "product" and mc_samples is None and not strong and t <= 4:
         return _verify_in_commutant(e, t, tol, frame_potential_mode)
     pairs = [(r, s) for r in range(t + 1) for s in range(t + 1)
@@ -572,15 +574,15 @@ def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
     exact = e.kind == "explicit" and mc_samples is None
     if not exact and not mc_samples:
         raise ValueError("product ensembles require mc_samples")
-    # the (t, t) moment is the largest; refuse before building any
-    haar.check_moment_budget(e.d, t, e.size if exact else mc_samples)
+    # refuse before building any moment
+    haar.check_moment_budget(e.d, t, e.size if exact else mc_samples, strong=strong)
     stack = e.elements if exact else e.sample(np.random.default_rng(seed), mc_samples)
     residuals = {}
     stderrs = None if exact else {}
-    for r, s in pairs:
-        avg = haar.mixed_moment(stack, r, s)
-        # numpy's sum, not np.linalg.norm: BLAS dot splits long sums by thread
-        diff = avg - _haar_reference(e.d, r, s)
+    for (r, s), avg in zip(pairs, haar.mixed_moment(stack, pairs)):
+        # numpy's sum, not np.linalg.norm: BLAS dot splits long sums by thread;
+        # the Haar value of an r != s cell is zero, and x - 0.0 = x
+        diff = avg - _haar_reference(e.d, r) if r == s else avg
         residuals[(r, s)] = float(np.sqrt((np.abs(diff) ** 2).sum()))
         if not exact:
             stderrs[(r, s)] = _moment_stderr(stack, r, s, avg)
@@ -611,8 +613,6 @@ def _moment_stderr(stack: np.ndarray, r: int, s: int, mean: np.ndarray) -> float
     per-sample product is built.
     """
     n = stack.shape[0]
-    if n < 2:
-        return float("inf")
     norms = (np.abs(stack) ** 2).sum(axis=(1, 2))
     var = np.mean(norms ** (r + s)) - (np.abs(mean) ** 2).sum()
     return float(np.sqrt(max(var, 0.0) / n))
@@ -748,13 +748,13 @@ def _commutant_moment(q: int, fixed: Sequence[np.ndarray],
         gram, kernels = perm_gram, [perm_gram] * len(fixed)
     else:
         # Q = d^-2 sum_P P^(x 4): the fourth powers of the normalised Paulis
-        k2 = haar._kron_power(paulis.pauli_basis(q), 2).reshape(d * d, -1)
+        k2 = haar._kron_powers(paulis.pauli_basis(q), 2)[-1].reshape(d * d, -1)
         qop = (k2.T @ k2).reshape((d * d,) * 4).transpose(0, 2, 1, 3).reshape(d ** 4, -1)
         tq = traces(qop)
         gram = np.block([[perm_gram, tq], [tq, tq]])
         kernels = []
         for v in fixed:
-            w = haar._kron_power(np.asarray(v)[None], 4)[0]
+            w = haar._kron_powers(np.asarray(v)[None], 4)[-1][0]
             qv = w @ qop @ w.conj().T
             kernels.append(np.block([[perm_gram, traces(qv)], [tq, traces(qop @ qv)]]))
     root, _ = numerics.pinv_psd(gram, power=0.5)

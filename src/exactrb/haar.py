@@ -9,8 +9,10 @@ irrep bookkeeping.  For the t-th moment on U(d) the operator
 is the orthogonal projector onto span{vec(P_sigma) : sigma in S_t}, obtained
 from the Gram matrix G[s, t] = d^(cycles(s^-1 t)) as
 M = sum_{s,t} pinv(G)[s,t] |vec(P_t)><vec(P_s)|.  The frame potential is
-the rank of G, and ensemble moments of unitary stacks, the other side of a
-design check, come from one GEMM per chunk.
+the rank of G.  Ensemble moments of unitary stacks, the other side of a
+design check, come from one pass over the stack for all checked (r, s)
+cells at once: each chunk builds its Kronecker powers U^(x k) once, and
+adds one GEMM of them to each cell's running total.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import numerics
 
 MAX_T = 12
-# Memory budget of one dense moment cell, as check_moment_budget counts
+# Memory budget of one dense moment check, as check_moment_budget counts
 # it.  1 GiB holds the largest dense projector the acceptance suite builds
 # (side 6,561).
 MOMENT_BYTES = 2 ** 30
@@ -98,21 +100,26 @@ def _gram_pinv(d: int, t: int) -> tuple[np.ndarray, int]:
     return numerics.pinv_psd(_gram(d, t))
 
 
-def check_moment_budget(d: int, t: int, n: int = 0, cap: int | None = None) -> None:
-    """Refuse a dense (t, t) moment cell on U(d) that needs more than cap
-    bytes (default MOMENT_BYTES), with a ValueError naming d, t and the
+def check_moment_budget(d: int, t: int, n: int = 0, cap: int | None = None,
+                        strong: bool = False) -> None:
+    """Refuse a dense moment check on U(d) at order t that needs more than
+    cap bytes (default MOMENT_BYTES), with a ValueError naming d, t and the
     bytes.
 
-    With n = 0 the cell is the Haar projector alone: one d^(2t)-side
-    complex matrix.  For the moment of n unitaries checked against that
-    projector, counted are four such matrices (mixed_moment's running
-    total, one chunk's GEMM product and the transposed copy it returns,
-    and the Haar reference) and the two Kronecker powers of one chunk of
-    at most CHUNK unitaries.
+    With n = 0 the check is the (t, t) Haar projector alone: one
+    d^(2t)-side complex matrix.  For the moments of n unitaries, as
+    verified against Haar, counted are mixed_moment's running totals of
+    every checked cell (0 <= r, s <= t with ``strong``, else r = s), one
+    chunk's GEMM product and the Kronecker powers U^(x k), k <= t, of at
+    most CHUNK unitaries with their conjugates, and one cell's transposed
+    result and Haar reference, each of the largest cell's size.
     """
-    side = d ** (2 * t)
-    matrices = 4 if n else 1
-    need = 16 * (matrices * side ** 2 + 2 * min(n, CHUNK) * side)
+    sides = [d ** (2 * k) for k in range(t + 1)]
+    if n:
+        cells = sum(sides) ** 2 if strong else sum(x * x for x in sides)
+        need = 16 * (cells + 3 * sides[t] ** 2 + 2 * min(n, CHUNK) * sum(sides[1:]))
+    else:
+        need = 16 * sides[t] ** 2
     cap = MOMENT_BYTES if cap is None else cap
     if need > cap:
         raise ValueError(
@@ -148,43 +155,57 @@ def haar_frame_potential(d: int, t: int) -> int:
     return _gram_pinv(d, t)[1]
 
 
-def mixed_moment(stack: np.ndarray, r: int, s: int) -> np.ndarray:
-    """Ensemble average of U^(x r) (x) conj(U)^(x s) over a stack of unitaries.
+def mixed_moment(stack: np.ndarray, cells: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Ensemble averages of U^(x r) (x) conj(U)^(x s) over a stack of unitaries.
 
-    Returns a d^(r+s) square matrix (a 1 x 1 matrix holding 1.0 when
-    r = s = 0).  Each chunk of CHUNK unitaries adds one GEMM of its
-    flattened Kronecker powers (a column sum when r or s is 0), so the
-    accumulation order depends only on the stack's length, not on the BLAS
-    thread count.
+    Returns one d^(r+s) square matrix per (r, s) in ``cells``, in order (a
+    1 x 1 matrix holding 1.0 for r = s = 0), from one pass over the stack.
+    Each chunk of CHUNK unitaries builds its flattened Kronecker powers
+    U^(x k) once, up to the largest r or s, conjugates each once, and adds
+    one GEMM P_r^T conj(P_s) to every cell's running total (a column sum
+    when r or s is 0).  Each cell's accumulation order depends only on the
+    stack's length, not on the BLAS thread count or the other cells.
     """
     stack = np.asarray(stack)
     n, d = stack.shape[0], stack.shape[1]
-    if r == 0 and s == 0:
-        return np.ones((1, 1), dtype=complex)
-    dr, ds = d ** r, d ** s
-    total = np.zeros((dr * dr, ds * ds), dtype=complex)
+    totals = [np.zeros((d ** (2 * r), d ** (2 * s)), dtype=complex) if r or s else None
+              for r, s in cells]
+    top = max(max(r, s) for r, s in cells)
+    conjugated = {s for r, s in cells if s}
     for start in range(0, n, CHUNK):
         part = stack[start:start + CHUNK]
-        kr = _kron_power(part, r).reshape(len(part), -1)
-        ks = _kron_power(part.conj(), s).reshape(len(part), -1)
-        if r == 0 or s == 0:
-            # against the all-ones power: numpy would hand this to gemv
-            total += (ks if r == 0 else kr).sum(axis=0).reshape(total.shape)
-        else:
-            total += kr.T @ ks
-    total /= n
-    # rows (a, b) of U^(x r), columns (c, d) of conj(U)^(x s) -> (a c, b d)
-    return total.reshape(dr, dr, ds, ds).transpose(0, 2, 1, 3).reshape(dr * ds, dr * ds)
+        powers = [None] + [p.reshape(len(part), -1) for p in _kron_powers(part, top)]
+        # the recursion only multiplies entries, so conj(U^(x k)) is the
+        # k-th power of conj(U) to the bit
+        conj = {k: powers[k].conj() for k in conjugated}
+        for (r, s), total in zip(cells, totals):
+            if total is None:
+                continue
+            if r == 0 or s == 0:
+                # against the all-ones power: numpy would hand this to gemv
+                total += (conj[s] if r == 0 else powers[r]).sum(axis=0).reshape(total.shape)
+            else:
+                total += powers[r].T @ conj[s]
+    out = []
+    for r, s in cells:
+        # each total is released as its transposed copy is made
+        total = totals.pop(0)
+        if total is None:
+            out.append(np.ones((1, 1), dtype=complex))
+            continue
+        total /= n
+        dr, ds = d ** r, d ** s
+        # rows (a, b) of U^(x r), columns (c, d) of conj(U)^(x s) -> (a c, b d)
+        out.append(total.reshape(dr, dr, ds, ds).transpose(0, 2, 1, 3).reshape(dr * ds, dr * ds))
+    return out
 
 
-def _kron_power(stack: np.ndarray, k: int) -> np.ndarray:
-    """Batched k-fold Kronecker power of an (n, d, d) stack."""
+def _kron_powers(stack: np.ndarray, k: int) -> list[np.ndarray]:
+    """Batched Kronecker powers U^(x 1) .. U^(x k), k >= 1, of an (n, d, d) stack."""
     n, d = stack.shape[0], stack.shape[1]
-    if k == 0:
-        return np.ones((n, 1, 1), dtype=stack.dtype)
-    out = stack
+    out = [stack]
     dim = d
     for _ in range(k - 1):
-        out = np.einsum("nab,ncd->nacbd", out, stack).reshape(n, dim * d, dim * d)
+        out.append(np.einsum("nab,ncd->nacbd", out[-1], stack).reshape(n, dim * d, dim * d))
         dim *= d
     return out

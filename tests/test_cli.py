@@ -74,6 +74,22 @@ def test_design_verify_over_budget(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("samples", ["1", "0", "-4"])
+def test_design_verify_refuses_fewer_than_two_samples(tmp_path, capsys, samples):
+    # one sample's infinite standard error passed a 2-design check at t = 2
+    # with residual 3.74; 0 and -4 reached other messages or numpy's errors
+    design = tmp_path / "q22.json"
+    assert run("design", "build", "--type", "qudit", "--d", "2", "--t", "2",
+               "--out", str(design)) == cli.EXIT_PASS
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("design", "verify", "--design", str(design), "--t", "2",
+               "--mc-samples", samples, "--out", str(out / "r.json")) == cli.EXIT_USAGE
+    assert "mc_samples must be at least 2, got %s" % samples in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_design_verify_commutant(tmp_path):
     # the interleaved 4-design is certified at t = 4 in the Clifford
     # commutant, without samples and with the same bytes at 1 and 2 BLAS
@@ -434,8 +450,8 @@ def _main_in_fresh_process(cwd, *argv):
 
 
 def test_sampled_verify_report_independent_of_threads(tmp_path):
-    # With 500 samples the moment GEMM's inner dimension spans several BLAS
-    # K panels, where a single GEMM sums in a thread-dependent order.
+    # 500 samples: eight 64-row chunks, each GEMM inside one BLAS K panel
+    # and the chunks added in order, so no sum depends on the thread count.
     design = tmp_path / "q32.json"
     assert run("design", "build", "--type", "qudit", "--d", "3", "--t", "2",
                "--out", str(design)) == cli.EXIT_PASS

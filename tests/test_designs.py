@@ -87,6 +87,46 @@ def _reference_mixed_moment(stack, r, s, chunk=2048):
     return total / n
 
 
+# The per-cell GEMM loop that the one-pass haar.mixed_moment replaced, kept
+# verbatim as the reference every cell must equal bit for bit; it rebuilt
+# both Kronecker powers of each chunk for every cell.
+
+def _reference_cell_moment(stack, r, s):
+    stack = np.asarray(stack)
+    n, d = stack.shape[0], stack.shape[1]
+    if r == 0 and s == 0:
+        return np.ones((1, 1), dtype=complex)
+    dr, ds = d ** r, d ** s
+    total = np.zeros((dr * dr, ds * ds), dtype=complex)
+    for start in range(0, n, haar.CHUNK):
+        part = stack[start:start + haar.CHUNK]
+        kr = _reference_kron_power(part, r).reshape(len(part), -1)
+        ks = _reference_kron_power(part.conj(), s).reshape(len(part), -1)
+        if r == 0 or s == 0:
+            # against the all-ones power: numpy would hand this to gemv
+            total += (ks if r == 0 else kr).sum(axis=0).reshape(total.shape)
+        else:
+            total += kr.T @ ks
+    total /= n
+    # rows (a, b) of U^(x r), columns (c, d) of conj(U)^(x s) -> (a c, b d)
+    return total.reshape(dr, dr, ds, ds).transpose(0, 2, 1, 3).reshape(dr * ds, dr * ds)
+
+
+def _reference_residuals(e, t, strong):
+    """verify_strong_design's exact residuals from the per-cell loop, with
+    the all-zero Haar reference of each r != s cell."""
+    residuals = {}
+    for r in range(t + 1):
+        for s in range(t + 1):
+            if strong or r == s:
+                avg = _reference_cell_moment(e.elements, r, s)
+                ref = (designs._haar_reference(e.d, r) if r == s
+                       else np.zeros((e.d ** (r + s),) * 2, dtype=complex))
+                diff = avg - ref
+                residuals[(r, s)] = float(np.sqrt((np.abs(diff) ** 2).sum()))
+    return residuals
+
+
 def _reference_sample_chunk(entries):
     return max(1, min(2048, 2 ** 30 // 16 // (16 * entries)))
 
@@ -130,7 +170,7 @@ def _clifford_layered(group, *fixed):
 
 
 def _assert_moments_match_reference(stack, r, s):
-    mean = haar.mixed_moment(stack, r, s)
+    mean, = haar.mixed_moment(stack, [(r, s)])
     ref = _reference_mixed_moment(stack, r, s)
     assert mean.shape == ref.shape
     assert np.abs(mean - ref).max() <= 1e-13
@@ -332,9 +372,44 @@ def test_moment_and_stderr_match_reference_across_chunks(monkeypatch):
     report = designs.verify_strong_design(e, 2, frame_potential_mode="skip")
     assert report.passed
     for (r, s), v in report.residuals.items():
-        ref = np.linalg.norm(_reference_mixed_moment(e.elements, r, s)
-                             - designs._haar_reference(2, r, s))
+        haar_value = designs._haar_reference(2, r) if r == s else 0.0
+        ref = np.linalg.norm(_reference_mixed_moment(e.elements, r, s) - haar_value)
         assert abs(v - ref) <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def qudit_2_3():
+    return designs.build_qudit_design(2, 3)
+
+
+@pytest.mark.parametrize("strong", [True, False])
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_one_pass_moments_equal_per_cell_loop(monkeypatch, qudit_2_3, chunk, strong):
+    # the one pass shares each chunk's Kronecker powers and conjugates
+    # them once; every cell still goes through the per-cell loop's floats
+    if chunk is not None:
+        monkeypatch.setattr(haar, "CHUNK", chunk)
+    qudit = qudit_2_3.elements
+    stacks = [(numerics.haar_unitaries(3, 10, np.random.default_rng(5)), 2),
+              # the per-cell loop takes 8 s over all 65,536 elements in 3-row chunks
+              (qudit if chunk is None else qudit[:301], 3)]
+    for stack, t in stacks:
+        cells = [(r, s) for r in range(t + 1) for s in range(t + 1) if strong or r == s]
+        for (r, s), avg in zip(cells, haar.mixed_moment(stack, cells)):
+            assert np.array_equal(avg, _reference_cell_moment(stack, r, s)), (r, s)
+
+
+def test_one_pass_verify_report_unchanged(qudit_2_3):
+    # the t = 3 strong certificate of the 65,536-element qubit design, with
+    # the per-cell residuals and the zero Haar reference of r != s cells
+    e = qudit_2_3
+    report = designs.verify_strong_design(e, 3, tol=1e-9, frame_potential_mode="skip")
+    residuals = _reference_residuals(e, 3, strong=True)
+    expected = designs.DesignReport(
+        d=2, t_checked=3, strong=True, mode="exact", tol=1e-9, residuals=residuals,
+        stderrs=None, frame_potential=None, frame_potential_stderr=None,
+        haar_frame_potential=None, passed=max(residuals.values()) <= 1e-9)
+    assert report.to_json_dict() == expected.to_json_dict()
 
 
 def test_icosahedral_is_two_design():
@@ -506,6 +581,16 @@ def test_commutant_verifies_interleaved_design_exactly(monkeypatch):
             designs.verify_strong_design(e, **kwargs)
 
 
+@pytest.mark.parametrize("samples", [1, 0, -4])
+def test_verify_refuses_fewer_than_two_samples(samples):
+    # one sample has an infinite standard error, which passed any ensemble
+    identities = designs.UnitaryEnsemble(
+        d=2, kind="explicit", elements=np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)))
+    for e in (identities, designs.build_qudit_design(2, 2)):
+        with pytest.raises(ValueError, match=f"mc_samples must be at least 2, got {samples}"):
+            designs.verify_strong_design(e, 2, mc_samples=samples)
+
+
 def test_verify_product_requires_samples():
     e = designs.UnitaryEnsemble(
         d=2, kind="product",
@@ -523,41 +608,53 @@ def test_verify_product_requires_samples():
                                      frame_potential_mode="bogus")
 
 
+def _counted_bytes(d, t, n, strong):
+    """check_moment_budget's count for n unitaries: every checked cell's
+    total, three largest-cell matrices (a chunk's GEMM product, a transposed
+    result, the Haar reference) and a chunk's powers with their conjugates."""
+    sides = [d ** (2 * k) for k in range(t + 1)]
+    cells = sum(a * b for a in sides for b in sides) if strong else sum(a * a for a in sides)
+    return 16 * (cells + 3 * sides[t] ** 2 + 2 * min(n, haar.CHUNK) * sum(sides[1:]))
+
+
 def test_verify_refuses_moments_over_budget(monkeypatch):
-    # d = 2, t = 4 over 60 elements needs 16 (4 * 256^2 + 60 * 2 * 256)
-    # bytes, its Haar projector alone 16 * 256^2; under a 1 MB budget t = 3
-    # still runs and t = 4 is refused before any moment is built.
+    # the diagonal check of d = 2, t = 4 over 60 elements needs
+    # 16 (69,905 + 3 * 256^2 + 2 * 60 * 340) bytes, its Haar projector alone
+    # 16 * 256^2; under a 1 MB budget t = 3 still runs and t = 4 is refused
+    # before any moment is built.
     monkeypatch.setattr(haar, "MOMENT_BYTES", 10 ** 6)
     e = designs.icosahedral_group()
     assert designs.verify_strong_design(e, 3, strong=False,
                                         frame_potential_mode="skip").passed
     monkeypatch.setattr(haar, "mixed_moment",
                         lambda *a, **k: pytest.fail("a moment was built"))
-    with pytest.raises(ValueError, match="d = 2, t = 4 needs 4,685,824 bytes"):
+    with pytest.raises(ValueError, match="d = 2, t = 4 needs 4,917,008 bytes"):
         designs.verify_strong_design(e, 4, strong=False)
     with pytest.raises(ValueError, match="d = 2, t = 4"):
         haar.haar_moment_projector(2, 4)
 
 
 def test_moment_budget_bounds_measured_peak():
-    # the (4, 4) cell of the icosahedral group: verify holds mixed_moment's
-    # running total, a chunk's GEMM product, the transposed result and the
-    # Haar reference, which check_moment_budget counts for n > 0; for the
-    # projector alone (n = 0) it counts one matrix
+    # the icosahedral group: verify holds every checked cell's running
+    # total at once, then a chunk's GEMM product and powers, or a cell's
+    # transposed result and Haar reference, which check_moment_budget counts
+    # for n > 0; for the projector alone (n = 0) it counts one matrix
     e = designs.icosahedral_group()
-    side = 2 ** 8
-    counted = 16 * (4 * side ** 2 + 2 * e.size * side)
-    haar.check_moment_budget(2, 4, e.size, cap=counted)
-    with pytest.raises(ValueError):
-        haar.check_moment_budget(2, 4, e.size, cap=counted - 1)
-    haar.check_moment_budget(2, 4, cap=16 * side ** 2)
-    tracemalloc.start()
-    try:
-        designs.verify_strong_design(e, 4, strong=False, frame_potential_mode="skip")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= counted
+    for strong, t in ((False, 4), (True, 3)):
+        counted = _counted_bytes(2, t, e.size, strong)
+        haar.check_moment_budget(2, t, e.size, cap=counted, strong=strong)
+        with pytest.raises(ValueError):
+            haar.check_moment_budget(2, t, e.size, cap=counted - 1, strong=strong)
+        haar.check_moment_budget(2, t, cap=16 * 2 ** (4 * t))
+        with pytest.raises(ValueError):
+            haar.check_moment_budget(2, t, cap=16 * 2 ** (4 * t) - 1)
+        tracemalloc.start()
+        try:
+            designs.verify_strong_design(e, t, strong=strong, frame_potential_mode="skip")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted, (strong, t)
 
 
 def test_sampled_verify_at_d4_t2_beyond_one_product_chunk():

@@ -76,7 +76,7 @@ def test_moment_projector_matches_sample_average(rng):
 
 def test_mixed_moment_identity_stack():
     stack = np.broadcast_to(np.eye(2, dtype=complex), (10, 2, 2))
-    out = haar.mixed_moment(stack, 1, 1)
+    out, = haar.mixed_moment(stack, [(1, 1)])
     assert out.shape == (4, 4)
     assert np.abs(out - np.eye(4)).max() < 1e-14
 
@@ -84,5 +84,5 @@ def test_mixed_moment_identity_stack():
 def test_mixed_moment_haar_offdiagonal(rng):
     # E[U (x) U] = 0 for Haar; finite-sample residual is O(1/sqrt(n)).
     us = numerics.haar_unitaries(2, 20000, rng)
-    assert np.abs(haar.mixed_moment(us, 2, 0)).max() < 0.05
+    assert np.abs(haar.mixed_moment(us, [(2, 0)])[0]).max() < 0.05
 
