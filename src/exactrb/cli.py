@@ -81,8 +81,11 @@ def _load_design_arg(design_doc):
     if kind == "w1":
         return designs.w1(int(design_doc["t"]))
     if kind == "qudit":
-        return designs.build_qudit_design(int(design_doc["d"]), int(design_doc["t"]),
-                                          cap=int(design_doc.get("cap", 10 ** 7)))
+        if "cap" in design_doc:
+            raise ValueError("the design key 'cap' (a count of elements) is gone; the "
+                             "qudit tower multiplies out stacks of at most %d bytes"
+                             % designs.TOWER_BYTES)
+        return designs.build_qudit_design(int(design_doc["d"]), int(design_doc["t"]))
     if kind == "icosahedral":
         return designs.icosahedral_group()
     if kind == "clifford":
@@ -90,18 +93,16 @@ def _load_design_arg(design_doc):
     if kind == "interleaved-4design":
         return designs.interleaved_clifford_design()
     if kind == "qubit-circuit":
-        desc = designs.build_qubit_circuit_descriptor(
+        return designs.build_qubit_circuit_design(
             int(design_doc["n"]), int(design_doc["t"]),
             angle_tables=design_doc.get("angle_tables"))
-        return desc.to_ensemble()
     raise ValueError("unknown design type %r" % kind)
 
 
 def cmd_design_build(args, argv) -> int:
     from . import designs
 
-    design_doc = {"type": args.type, "t": args.t, "d": args.d, "q": args.q,
-                "n": args.n, "cap": args.cap}
+    design_doc = {"type": args.type, "t": args.t, "d": args.d, "q": args.q, "n": args.n}
     if args.angles:
         with open(args.angles) as fh:
             raw = json.load(fh)
@@ -113,10 +114,15 @@ def cmd_design_build(args, argv) -> int:
     try:
         clean = {k: v for k, v in design_doc.items() if v is not None}
         ensemble = _load_design_arg(clean)
-    except (ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:
+        # a field the build type reads was not given
+        print("design build --type %s needs --%s" % (args.type, exc.args[0]), file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, TypeError) as exc:
         print("construction failed: %s" % exc, file=sys.stderr)
         return EXIT_CONSTRUCTION
-    config = json.dumps({k: str(v) for k, v in design_doc.items()},
+    # "cap": "None" keeps the digests of builds from when --cap was a flag
+    config = json.dumps(dict({k: str(v) for k, v in design_doc.items()}, cap="None"),
                         sort_keys=True, separators=(",", ":"))
 
     def write(path, digest):
@@ -361,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--d", type=int, default=None)
     pb.add_argument("--q", type=int, default=None)
     pb.add_argument("--n", type=int, default=None)
-    pb.add_argument("--cap", type=int, default=None)
     pb.add_argument("--angles", default=None,
                     help="JSON file of rotation-angle tables for qubit-circuit")
     pb.add_argument("--out", required=True)

@@ -1,14 +1,21 @@
 """Exact unitary design constructions and their verification.
 
-Three families live here:
+Four families live here:
 
 * the inductive qudit tower: scalar phase sets W1 lifted through direct sums
   and zonal-angle rotations, giving exact strong designs on U(d) whose
-  explicit form multiplies out when small and degrades to a product sampler
-  when not;
+  explicit form multiplies out when its stack fits a byte budget and
+  degrades to a product sampler when not;
+* the recursive qubit circuit: controlled copies of a smaller design
+  between controlled-X rotations with externally supplied angle tables;
 * finite groups obtained by closure (single/two-qubit Clifford groups, the
   binary icosahedral group), stored as projective representatives;
 * the Clifford-interleaved two-qubit 4-design C * U_c * C.
+
+An ensemble is an explicit stack or a product: one flat list of fixed
+matrices and explicit stacks, each acting on one diagonal block.  A direct
+sum or a controlled layer is the block pair U0 (+) U1 = (U0 (+) I)(I (+) U1),
+so no layer nests and no stack is padded or copied.
 
 Verification is moment based: ensemble averages of U^(x r) (x) conj(U)^(x s)
 are compared against the exact Haar values from the ``haar`` module, either
@@ -23,7 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,38 +43,44 @@ ROUND_DECIMALS = 7
 CLOSURE_CHUNK = 512
 # largest deviation of a Clifford element's Pauli image from a signed Pauli
 CLIFFORD_TOL = 1e-8
+# bytes of the largest qudit-tower stack that is multiplied out explicitly
+TOWER_BYTES = 64 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
 # ensemble container
 
 
+# A layer of side k at offset o acts as I_o (+) M (+) I on the product's
+# d dimensions, so it multiplies only columns o .. o + k - 1.
+
 @dataclass(frozen=True)
 class FixedLayer:
     matrix: np.ndarray
+    offset: int = 0
 
 
 @dataclass(frozen=True)
 class EnsembleLayer:
-    ensemble: "UnitaryEnsemble"
-
-
-@dataclass(frozen=True)
-class CtrlLayer:
-    """Controlled layer: block diag(U0, U1) with U0, U1 drawn independently."""
+    """A layer drawn uniformly from an explicit ensemble."""
 
     ensemble: "UnitaryEnsemble"
+    offset: int = 0
 
 
-Layer = FixedLayer | EnsembleLayer | CtrlLayer
+Layer = FixedLayer | EnsembleLayer
 
 
 @dataclass(frozen=True)
 class UnitaryEnsemble:
     """Uniformly weighted ensemble of d x d unitaries.
 
-    ``kind`` is "explicit" (a dense (n, d, d) stack) or "product" (a list of
-    layers sampled independently and multiplied left to right).
+    ``kind`` is "explicit" (a dense (n, d, d) stack) or "product" (a flat
+    list of fixed matrices and explicit stacks, each on its diagonal block,
+    each stack drawn independently, multiplied left to right).  A product
+    ensemble given as a layer is inlined, its layers shifted by the layer's
+    offset: they are independent draws in the same order, so the
+    distribution and the order of draws are unchanged.
     """
 
     d: int
@@ -90,7 +103,19 @@ class UnitaryEnsemble:
         elif self.kind == "product":
             if self.layers is None or self.elements is not None:
                 raise ValueError("product ensemble needs layers and no elements")
-            object.__setattr__(self, "layers", tuple(self.layers))
+            flat: list[Layer] = []
+            for layer in self.layers:
+                if isinstance(layer, EnsembleLayer) and layer.ensemble.kind == "product":
+                    flat += [replace(x, offset=x.offset + layer.offset)
+                             for x in layer.ensemble.layers]
+                else:
+                    flat.append(layer)
+            for x in flat:
+                k = _layer_side(x)
+                if x.offset < 0 or x.offset + k > self.d:
+                    raise ValueError(f"a layer of side {k} at offset {x.offset} "
+                                     f"does not fit in d = {self.d}")
+            object.__setattr__(self, "layers", tuple(flat))
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
 
@@ -99,15 +124,8 @@ class UnitaryEnsemble:
         """Number of elements (product of layer sizes for product kind)."""
         if self.kind == "explicit":
             return self.elements.shape[0]
-        n = 1
-        for layer in self.layers:
-            if isinstance(layer, FixedLayer):
-                continue
-            if isinstance(layer, EnsembleLayer):
-                n *= layer.ensemble.size
-            else:
-                n *= layer.ensemble.size ** 2
-        return n
+        return math.prod(x.ensemble.size for x in self.layers
+                         if isinstance(x, EnsembleLayer))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n elements uniformly as an (n, d, d) stack."""
@@ -116,31 +134,23 @@ class UnitaryEnsemble:
             return self.elements[idx]
         out = np.broadcast_to(np.eye(self.d, dtype=complex), (n, self.d, self.d)).copy()
         for layer in self.layers:
+            k = _layer_side(layer)
+            block = slice(layer.offset, layer.offset + k)
             if isinstance(layer, FixedLayer):
-                out = out @ layer.matrix
-            elif isinstance(layer, EnsembleLayer):
+                out[:, :, block] = out[:, :, block] @ layer.matrix
+            elif k == self.d:
                 out = np.einsum("nab,nbc->nac", out, layer.ensemble.sample(rng, n))
             else:
-                half = layer.ensemble.d
-                u0 = layer.ensemble.sample(rng, n)
-                u1 = layer.ensemble.sample(rng, n)
-                blocks = np.zeros((n, 2 * half, 2 * half), dtype=complex)
-                blocks[:, :half, :half] = u0
-                blocks[:, half:, half:] = u1
-                out = np.einsum("nab,nbc->nac", out, blocks)
+                # the same sums over b in the same order, twice as fast on a
+                # narrow block with its columns stored as rows (a innermost)
+                rows = np.ascontiguousarray(out[:, :, block].transpose(0, 2, 1))
+                out[:, :, block] = np.einsum(
+                    "nba,nbc->nca", rows, layer.ensemble.sample(rng, n)).transpose(0, 2, 1)
         return out
 
-    def dedup(self, mod_phase: bool = True) -> "UnitaryEnsemble":
-        """Remove duplicate elements, optionally up to global phase.
 
-        Canonical phase: the first entry above tolerance is made positive
-        real.  First occurrence order is preserved.  Idempotent.
-        """
-        if self.kind != "explicit":
-            raise ValueError("dedup applies to explicit ensembles")
-        elems = _canonical_phases(self.elements) if mod_phase else self.elements
-        keep = _first_seen(_round_keys(elems), set())
-        return UnitaryEnsemble(d=self.d, kind="explicit", elements=elems[keep])
+def _layer_side(layer: Layer) -> int:
+    return layer.matrix.shape[0] if isinstance(layer, FixedLayer) else layer.ensemble.d
 
 
 def _canonical_phases(stack: np.ndarray) -> np.ndarray:
@@ -198,45 +208,20 @@ def w1(t: int) -> UnitaryEnsemble:
 
 
 def direct_sum_ensemble(a: UnitaryEnsemble, b: UnitaryEnsemble) -> UnitaryEnsemble:
-    """All block-diagonal sums u (+) v over the two ensembles."""
+    """All block-diagonal sums u (+) v over the two ensembles.
+
+    Two explicit factors give the explicit (a.size * b.size)-element stack,
+    u-major; otherwise u (+) v = (u (+) I) (I (+) v) is a product of the two
+    blocks.
+    """
     d = a.d + b.d
-    if a.kind != "explicit":
-        raise ValueError("direct_sum_ensemble needs an explicit first factor")
-    if b.kind == "explicit":
-        na, nb = a.size, b.size
-        out = np.zeros((na * nb, d, d), dtype=complex)
-        k = 0
-        for u in a.elements:
-            for v in b.elements:
-                out[k, :a.d, :a.d] = u
-                out[k, a.d:, a.d:] = v
-                k += 1
-        return UnitaryEnsemble(d=d, kind="explicit", elements=out)
-    # u (+) (L1 L2 ...) = (u (+) I) (I (+) L1) (I (+) L2) ...
-    head = np.zeros((a.size, d, d), dtype=complex)
-    head[:, :a.d, :a.d] = a.elements
-    head[:, a.d:, a.d:] = np.eye(b.d)
-    layers: list[Layer] = [EnsembleLayer(UnitaryEnsemble(d=d, kind="explicit", elements=head))]
-    for layer in b.layers:
-        layers.append(_lift_layer(layer, a.d))
-    return UnitaryEnsemble(d=d, kind="product", layers=tuple(layers))
-
-
-def _lift_layer(layer: Layer, pad: int) -> Layer:
-    if isinstance(layer, FixedLayer):
-        m = np.eye(pad + layer.matrix.shape[0], dtype=complex)
-        m[pad:, pad:] = layer.matrix
-        return FixedLayer(m)
-    if isinstance(layer, EnsembleLayer):
-        ens = layer.ensemble
-        if ens.kind != "explicit":
-            raise ValueError("cannot lift nested product layers")
-        n = ens.size
-        out = np.zeros((n, pad + ens.d, pad + ens.d), dtype=complex)
-        out[:, :pad, :pad] = np.eye(pad)
-        out[:, pad:, pad:] = ens.elements
-        return EnsembleLayer(UnitaryEnsemble(d=pad + ens.d, kind="explicit", elements=out))
-    raise ValueError("cannot lift controlled layers")
+    if a.kind == "explicit" and b.kind == "explicit":
+        out = np.zeros((a.size, b.size, d, d), dtype=complex)
+        out[:, :, :a.d, :a.d] = a.elements[:, None]
+        out[:, :, a.d:, a.d:] = b.elements[None]
+        return UnitaryEnsemble(d=d, kind="explicit", elements=out.reshape(-1, d, d))
+    return UnitaryEnsemble(d=d, kind="product",
+                           layers=(EnsembleLayer(a), EnsembleLayer(b, a.d)))
 
 
 def rotation_unitary(thetas: Sequence[float], d1: int, d: int) -> np.ndarray:
@@ -260,13 +245,14 @@ def rotation_unitary(thetas: Sequence[float], d1: int, d: int) -> np.ndarray:
     return out
 
 
-def build_qudit_design(d: int, t: int, cap: int = 10 ** 7) -> UnitaryEnsemble:
+def build_qudit_design(d: int, t: int, cap: int = TOWER_BYTES) -> UnitaryEnsemble:
     """Exact strong t-design on U(d) by the inductive tower construction.
 
     Recursion: a strong design on U(d-1) is direct-summed with W1, then
     interleaved with one zonal-angle rotation per nonzero spherical label of
     (U(d), U(1) x U(d-1)).  The result is multiplied out explicitly when its
-    projected size stays within ``cap``, else returned as a product sampler.
+    stack of complex d x d matrices, 16 d^2 bytes each, fits in ``cap``
+    bytes, else returned as a product sampler.
     """
     if d < 1 or t < 1:
         raise ValueError("need d >= 1 and t >= 1")
@@ -276,8 +262,8 @@ def build_qudit_design(d: int, t: int, cap: int = 10 ** 7) -> UnitaryEnsemble:
     base = direct_sum_ensemble(w1(t), inner)
     labels = zonal.enumerate_sph_labels(1, d, t)
     rotations = [rotation_unitary(zonal.find_angles(lab).thetas, 1, d) for lab in labels]
-    projected = base.size ** (len(labels) + 1)
-    if base.kind == "explicit" and projected <= cap:
+    stack_bytes = base.size ** (len(labels) + 1) * 16 * d * d
+    if base.kind == "explicit" and stack_bytes <= cap:
         cur = base.elements
         for rot in rotations:
             cur = np.einsum("iab,jbc->ijac", cur @ rot, base.elements)
@@ -420,32 +406,7 @@ def interleaved_clifford_design() -> UnitaryEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# qubit tower descriptor
-
-
-@dataclass(frozen=True)
-class CircuitDescriptor:
-    """Layered description of the (N+1)-qubit design construction.
-
-    Layers alternate controlled applications of an N-qubit design (control on
-    the new qubit) with fixed controlled-X rotations whose angle tables come
-    from multivariate zonal-function zeros and must be supplied externally.
-    """
-
-    n_qubits: int
-    base: Optional[UnitaryEnsemble]
-    rotation_layers: tuple[tuple[zonal.SphericalLabel, np.ndarray], ...]
-    base_case: Optional[UnitaryEnsemble] = None
-
-    def to_ensemble(self) -> UnitaryEnsemble:
-        if self.base_case is not None:
-            return self.base_case
-        d = 2 ** self.n_qubits
-        layers: list[Layer] = [CtrlLayer(self.base)]
-        for _, angles in self.rotation_layers:
-            layers.append(FixedLayer(_ctrl_x_rotation(angles)))
-            layers.append(CtrlLayer(self.base))
-        return UnitaryEnsemble(d=d, kind="product", layers=tuple(layers))
+# the qubit circuit tower
 
 
 def _ctrl_x_rotation(angles: np.ndarray) -> np.ndarray:
@@ -459,43 +420,48 @@ def _ctrl_x_rotation(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_qubit_circuit_descriptor(
-        n_plus_1: int, t: int,
+def build_qubit_circuit_design(
+        n: int, t: int,
         angle_tables: Optional[dict[tuple[int, tuple[int, ...]], np.ndarray]] = None,
-) -> CircuitDescriptor:
-    """Descriptor of the recursive (N+1)-qubit design circuit.
+) -> UnitaryEnsemble:
+    """The recursive n-qubit design circuit as a product ensemble.
 
-    ``angle_tables`` maps (qubit count, positive partition) to the 2^N
-    rotation angles of that layer.  The single-qubit base case needs no
-    table; every higher level does, and a missing entry raises.
+    Controlled applications of an (n-1)-qubit design, control on the new
+    qubit, alternate with fixed controlled-X rotations.  A controlled layer
+    U0 (+) U1 with independent draws is the block pair (U0 (+) I)(I (+) U1).
+    ``angle_tables`` maps (qubit count, positive partition) to the 2^(n-1)
+    rotation angles of that layer, taken from multivariate zonal-function
+    zeros.  The single-qubit base case needs no table; every higher level
+    does, and a missing entry raises.
     """
-    if n_plus_1 < 1 or t < 1:
-        raise ValueError("need n_plus_1 >= 1 and t >= 1")
-    if n_plus_1 == 1:
-        return CircuitDescriptor(n_qubits=1, base=None, rotation_layers=(),
-                                 base_case=build_qudit_design(2, t))
+    if n < 1 or t < 1:
+        raise ValueError("need n >= 1 and t >= 1")
+    if n == 1:
+        return build_qudit_design(2, t)
     angle_tables = angle_tables or {}
-    n = n_plus_1 - 1
-    big_d = 2 ** n
-    labels = zonal.enumerate_sph_labels(big_d, 2 * big_d, t)
-    rot_layers = []
+    half = 2 ** (n - 1)
+    labels = zonal.enumerate_sph_labels(half, 2 * half, t)
+    rotations = []
     missing = []
     for lab in labels:
-        key = (n_plus_1, lab.positive_part)
+        key = (n, lab.positive_part)
         if key not in angle_tables:
             missing.append(key)
             continue
         angles = np.asarray(angle_tables[key], dtype=float)
-        if angles.shape != (big_d,):
-            raise ValueError(f"angle table for {key} must have {big_d} entries")
-        rot_layers.append((lab, angles))
+        if angles.shape != (half,):
+            raise ValueError(f"angle table for {key} must have {half} entries")
+        rotations.append(_ctrl_x_rotation(angles))
     if missing:
         raise ValueError(
             "missing external angle tables for labels: "
             + ", ".join(str(k) for k in missing))
-    base = build_qubit_circuit_descriptor(n, t, angle_tables).to_ensemble()
-    return CircuitDescriptor(n_qubits=n_plus_1, base=base,
-                             rotation_layers=tuple(rot_layers))
+    base = build_qubit_circuit_design(n - 1, t, angle_tables)
+    ctrl = [EnsembleLayer(base), EnsembleLayer(base, half)]
+    layers: list[Layer] = list(ctrl)
+    for rot in rotations:
+        layers += [FixedLayer(rot), *ctrl]
+    return UnitaryEnsemble(d=2 * half, kind="product", layers=tuple(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +644,8 @@ def _clifford_layers(e: UnitaryEnsemble) -> tuple[int, list[np.ndarray]]:
     q = e.d.bit_length() - 1
     if not (len(layers) % 2 == 1 and e.d == 2 ** q >= 2
             and all(isinstance(x, EnsembleLayer) for x in layers[::2])
-            and all(isinstance(x, FixedLayer) for x in layers[1::2])):
+            and all(isinstance(x, FixedLayer) for x in layers[1::2])
+            and all(_layer_side(x) == e.d for x in layers)):
         raise ValueError("the Clifford commutant needs qubit layers "
                          "[clifford, fixed, clifford, ..., clifford]")
     order = 2 ** (q * q + 2 * q) * math.prod(4 ** j - 1 for j in range(1, q + 1))
@@ -806,30 +773,33 @@ def _ensemble_to_json(e: UnitaryEnsemble) -> dict:
     if e.kind == "explicit":
         out["elements"] = [_matrix_to_json(u) for u in e.elements]
     else:
-        layers = []
-        for layer in e.layers:
-            if isinstance(layer, FixedLayer):
-                layers.append({"kind": "fixed", "matrix": _matrix_to_json(layer.matrix)})
-            elif isinstance(layer, EnsembleLayer):
-                layers.append({"kind": "ensemble", "ensemble": _ensemble_to_json(layer.ensemble)})
-            else:
-                layers.append({"kind": "ctrl", "ensemble": _ensemble_to_json(layer.ensemble)})
-        out["layers"] = layers
+        out["layers"] = [
+            {"kind": "fixed", "matrix": _matrix_to_json(x.matrix)} if isinstance(x, FixedLayer)
+            else {"kind": "ensemble", "ensemble": _ensemble_to_json(x.ensemble)}
+            for x in e.layers]
+        for item, x in zip(out["layers"], e.layers):
+            if x.offset:
+                item["offset"] = x.offset
     return out
 
 
 def _ensemble_from_json(doc: dict) -> UnitaryEnsemble:
+    """Ensemble of a design file.  A layer without "offset" starts at 0.
+    Older files may nest product layers, which are inlined, or hold "ctrl"
+    layers U0 (+) U1, read as the block pair (U0 (+) I)(I (+) U1)."""
     if doc["kind"] == "explicit":
         elems = np.array([_matrix_from_json(m) for m in doc["elements"]])
         return UnitaryEnsemble(d=doc["d"], kind="explicit", elements=elems)
     layers: list[Layer] = []
     for item in doc["layers"]:
+        offset = item.get("offset", 0)
         if item["kind"] == "fixed":
-            layers.append(FixedLayer(_matrix_from_json(item["matrix"])))
+            layers.append(FixedLayer(_matrix_from_json(item["matrix"]), offset))
         elif item["kind"] == "ensemble":
-            layers.append(EnsembleLayer(_ensemble_from_json(item["ensemble"])))
+            layers.append(EnsembleLayer(_ensemble_from_json(item["ensemble"]), offset))
         elif item["kind"] == "ctrl":
-            layers.append(CtrlLayer(_ensemble_from_json(item["ensemble"])))
+            half = _ensemble_from_json(item["ensemble"])
+            layers += [EnsembleLayer(half), EnsembleLayer(half, half.d)]
         else:
             raise ValueError(f"unknown layer kind {item['kind']!r}")
     return UnitaryEnsemble(d=doc["d"], kind="product", layers=tuple(layers))

@@ -36,11 +36,35 @@ def test_design_build_unknown_type(tmp_path):
                "--out", str(tmp_path / "x.json")) == cli.EXIT_USAGE
 
 
-def test_design_build_missing_tables(tmp_path):
+def test_design_build_missing_tables(tmp_path, capsys):
     # The two-qubit circuit construction needs external angle tables.
-    assert run("design", "build", "--type", "qubit-circuit", "--q", "2",
+    assert run("design", "build", "--type", "qubit-circuit", "--n", "2",
                "--t", "2", "--out", str(tmp_path / "x.json")) \
         == cli.EXIT_CONSTRUCTION
+    assert "angle tables" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["--type", "qudit", "--t", "2"], "--d"),
+    (["--type", "qudit", "--d", "2"], "--t"),
+    (["--type", "w1"], "--t"),
+    (["--type", "qubit-circuit", "--t", "1", "--q", "2"], "--n"),
+])
+def test_design_build_missing_parameter_is_usage_error(tmp_path, capsys, argv, flags):
+    assert run("design", "build", *argv, "--out", str(tmp_path / "x.json")) \
+        == cli.EXIT_USAGE
+    assert "needs %s" % flags in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_design_build_qudit_past_four(tmp_path):
+    # the tower lifts product layers: d = 5 builds and certifies by sampling
+    design = tmp_path / "d51.json"
+    assert run("design", "build", "--type", "qudit", "--d", "5", "--t", "1",
+               "--out", str(design)) == cli.EXIT_PASS
+    assert run("design", "verify", "--design", str(design), "--t", "1",
+               "--mc-samples", "500", "--out", str(tmp_path / "r.json")) == cli.EXIT_PASS
 
 
 def test_design_verify_pass_and_fail(tmp_path):
@@ -297,6 +321,19 @@ def test_wrong_input_types_are_usage_errors(tmp_path, monkeypatch, case):
                 "--out", str(tmp_path / "s.json")]
     assert run(*argv) == cli.EXIT_USAGE
     assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
+def test_rb_design_cap_key_is_refused(tmp_path, monkeypatch, capsys):
+    # "cap" counted elements; the tower's byte budget replaced it
+    monkeypatch.setattr(rb, "v_t_monte_carlo", None)
+    cfg = tmp_path / "rb.json"
+    write_rb_config(str(cfg), sequence_lengths=list(range(1, 10)),
+                    design={"type": "qudit", "d": 2, "t": 3, "cap": 100000})
+    assert run("rb", "--config", str(cfg), "--mode", "mc",
+               "--out-dir", str(tmp_path / "out")) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'cap'" in err and "%d bytes" % designs.TOWER_BYTES in err
+    assert [p.name for p in tmp_path.iterdir()] == ["rb.json"]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Ensemble containers, exact design constructions, and moment verification."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -209,15 +210,6 @@ def test_ensemble_sample_shape_and_unitarity(rng):
     assert dev < 1e-12
 
 
-def test_dedup_mod_phase(rng):
-    u, v = numerics.haar_unitaries(2, 2, rng)
-    stack = np.array([u, np.exp(0.7j) * u, -u, v])
-    e = designs.UnitaryEnsemble(d=2, kind="explicit", elements=stack)
-    deduped = e.dedup()
-    assert deduped.size == 2
-    assert deduped.dedup().size == 2
-
-
 def test_w1_sizes_and_strongness():
     for t in (1, 2, 3, 4):
         e = designs.w1(t)
@@ -241,6 +233,19 @@ def test_direct_sum_ensemble():
     assert s.size == a.size * b.size
     assert np.abs(s.elements[:, 0, 1]).max() < 1e-15
     assert np.abs(s.elements[:, 1, 0]).max() < 1e-15
+
+
+def test_direct_sum_is_the_block_copy_loop():
+    # the block-diagonal stack equals the per-pair loop it replaced, bit for bit
+    a, b = designs.w1(2), designs.build_qudit_design(2, 1)
+    ref = np.zeros((a.size * b.size, 3, 3), dtype=complex)
+    k = 0
+    for u in a.elements:
+        for v in b.elements:
+            ref[k, :1, :1] = u
+            ref[k, 1:, 1:] = v
+            k += 1
+    assert designs.direct_sum_ensemble(a, b).elements.tobytes() == ref.tobytes()
 
 
 def test_rotation_unitary():
@@ -269,6 +274,37 @@ def test_qudit_design_cap_falls_back_to_product():
     us = e.sample(rng, 5)
     for u in us:
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+
+
+def test_qudit_design_cap_counts_stack_bytes():
+    # (2, 3) multiplies out 65,536 complex 2 x 2 matrices, 64 bytes each
+    assert designs.build_qudit_design(2, 3, cap=65536 * 64).kind == "explicit"
+    assert designs.build_qudit_design(2, 3, cap=65536 * 64 - 1).kind == "product"
+    # the default keeps the small cells explicit; (4, 1), 1 GiB as a stack,
+    # and (2, 4), 625 MB, stay products
+    for d, t in ((2, 1), (2, 2), (2, 3), (3, 1)):
+        assert designs.build_qudit_design(d, t).kind == "explicit"
+    for d, t, size in ((4, 1, 2048 ** 2), (2, 4, 25 ** 5)):
+        e = designs.build_qudit_design(d, t)
+        assert e.kind == "product" and e.size == size
+
+
+@pytest.mark.parametrize("d,t", [(5, 1), (5, 2), (6, 2)])
+def test_qudit_tower_builds_past_four(d, t):
+    e = designs.build_qudit_design(d, t)
+    assert e.kind == "product"
+    report = designs.verify_strong_design(e, t, mc_samples=1000, strong=False)
+    assert report.passed
+
+
+def test_sampled_check_tells_d5_one_design_from_two_design():
+    # at d = 5 the (2, 2) cell's standard error is 0.56 at 2,000 samples,
+    # too wide to fail the (5, 1) tower; at 8,000 it is 0.28
+    for t, passes in ((2, True), (1, False)):
+        report = designs.verify_strong_design(
+            designs.build_qudit_design(5, t), 2, mc_samples=8000, strong=False,
+            frame_potential_mode="skip")
+        assert report.passed is passes
 
 
 def test_icosahedral_group_basics():
@@ -710,9 +746,8 @@ def test_load_design_rejects_other_files(tmp_path):
 
 
 def test_circuit_descriptor_base_case():
-    desc = designs.build_qubit_circuit_descriptor(1, 2)
-    assert desc.n_qubits == 1
-    e = desc.to_ensemble()
+    e = designs.build_qubit_circuit_design(1, 2)
+    assert e.d == 2
     report = designs.verify_strong_design(e, 2, tol=1e-10,
                                           frame_potential_mode="skip")
     assert report.passed
@@ -720,7 +755,7 @@ def test_circuit_descriptor_base_case():
 
 def test_circuit_descriptor_missing_tables():
     with pytest.raises(ValueError, match="angle tables"):
-        designs.build_qubit_circuit_descriptor(2, 2)
+        designs.build_qubit_circuit_design(2, 2)
 
 
 def test_circuit_descriptor_with_tables():
@@ -728,10 +763,181 @@ def test_circuit_descriptor_with_tables():
     labels = zonal.enumerate_sph_labels(2, 4, 1)
     assert [l.positive_part for l in labels] == [(1,)]
     tables = {(2, (1,)): np.array([0.1, 0.2])}
-    desc = designs.build_qubit_circuit_descriptor(2, 1, tables)
-    assert desc.n_qubits == 2
-    e = desc.to_ensemble()
+    e = designs.build_qubit_circuit_design(2, 1, tables)
+    assert e.d == 4
     assert e.kind == "product"
     u = e.sample(np.random.default_rng(1), 8)
     dev = np.abs(np.einsum("nij,nik->njk", u.conj(), u) - np.eye(4)).max()
     assert dev < 1e-10
+
+
+def test_circuit_holds_its_base_stack_once():
+    # every controlled layer of both levels draws from the one 2 x 2 stack
+    # of (2, 3), 65,536 elements, unpadded: the 3-qubit circuit holds little
+    # beyond that stack's 4 MiB
+    tables = {(m, lab.positive_part): np.linspace(0.1, 1.0, 2 ** (m - 1)) + 0.07 * k
+              for m in (2, 3)
+              for k, lab in enumerate(zonal.enumerate_sph_labels(2 ** (m - 1), 2 ** m, 3))}
+    tracemalloc.start()
+    try:
+        e = designs.build_qubit_circuit_design(3, 3, tables)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    stacks = {id(x.ensemble): x.ensemble for x in e.layers
+              if isinstance(x, designs.EnsembleLayer)}
+    assert [s.elements.shape for s in stacks.values()] == [(65536, 2, 2)]
+    assert held < 1.1 * 65536 * 64
+    assert len(e.layers) == 2 * 7 * 17 + 6
+
+
+# Products used to nest, and a "ctrl" layer drew diag(U0, U1) in one block.
+# The sampler of that form, kept as the reference for flat products; it
+# reads the design-file form, which older files still have.
+
+def _reference_sample(doc, rng, n):
+    if doc["kind"] == "explicit":
+        elems = np.array([designs._matrix_from_json(m) for m in doc["elements"]])
+        return elems[rng.integers(len(elems), size=n)]
+    d = doc["d"]
+    out = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)).copy()
+    for layer in doc["layers"]:
+        if layer["kind"] == "fixed":
+            out = out @ designs._matrix_from_json(layer["matrix"])
+        elif layer["kind"] == "ensemble":
+            out = np.einsum("nab,nbc->nac", out, _reference_sample(layer["ensemble"], rng, n))
+        else:
+            half = layer["ensemble"]["d"]
+            blocks = np.zeros((n, 2 * half, 2 * half), dtype=complex)
+            blocks[:, :half, :half] = _reference_sample(layer["ensemble"], rng, n)
+            blocks[:, half:, half:] = _reference_sample(layer["ensemble"], rng, n)
+            out = np.einsum("nab,nbc->nac", out, blocks)
+    return out
+
+
+def _fixed(m):
+    return {"kind": "fixed", "matrix": designs._matrix_to_json(m)}
+
+
+def _nested_circuit_doc(t, tables):
+    """The 2-qubit circuit as it was written: ctrl layers around the fixed
+    controlled-X rotations."""
+    ctrl = {"kind": "ctrl", "ensemble": designs._ensemble_to_json(
+        designs.build_qudit_design(2, t))}
+    layers = [ctrl]
+    for lab in zonal.enumerate_sph_labels(2, 4, t):
+        layers += [_fixed(designs._ctrl_x_rotation(tables[(2, lab.positive_part)])), ctrl]
+    return {"d": 4, "kind": "product", "layers": layers}
+
+
+def _pad_stack(stack):
+    """diag(1, U) for each U of a stack: a layer lifted by one dimension."""
+    out = np.zeros((len(stack), stack.shape[1] + 1, stack.shape[1] + 1), dtype=complex)
+    out[:, 0, 0] = 1.0
+    out[:, 1:, 1:] = stack
+    return out
+
+
+def _nested_qudit_4_2_doc():
+    """The (4, 2) tower as it was written: each base layer a product of
+    W1 (+) I and the (3, 2) layers padded to I (+) L."""
+    w1 = designs.w1(2).elements
+    head = np.zeros((len(w1), 4, 4), dtype=complex)
+    head[:, :1, :1] = w1
+    head[:, 1:, 1:] = np.eye(3)
+    inner = [{"kind": "ensemble", "ensemble": designs._ensemble_to_json(
+        designs.UnitaryEnsemble(d=4, kind="explicit", elements=head))}]
+    for layer in designs.build_qudit_design(3, 2).layers:
+        if isinstance(layer, designs.FixedLayer):
+            inner.append(_fixed(_pad_stack(layer.matrix[None])[0]))
+        else:
+            inner.append({"kind": "ensemble", "ensemble": designs._ensemble_to_json(
+                designs.UnitaryEnsemble(d=4, kind="explicit",
+                                        elements=_pad_stack(layer.ensemble.elements)))})
+    base = {"kind": "ensemble", "ensemble": {"d": 4, "kind": "product", "layers": inner}}
+    layers = [base]
+    for lab in zonal.enumerate_sph_labels(1, 4, 2):
+        layers += [_fixed(designs.rotation_unitary(zonal.find_angles(lab).thetas, 1, 4)),
+                   base]
+    return {"d": 4, "kind": "product", "layers": layers}
+
+
+def _circuit_tables(t):
+    return {(2, lab.positive_part): np.array([0.3 + 0.1 * k, 1.1 - 0.2 * k])
+            for k, lab in enumerate(zonal.enumerate_sph_labels(2, 4, t))}
+
+
+def _assert_flat(e):
+    assert e.kind == "product"
+    for layer in e.layers:
+        assert isinstance(layer, (designs.FixedLayer, designs.EnsembleLayer))
+        if isinstance(layer, designs.EnsembleLayer):
+            assert layer.ensemble.kind == "explicit"
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_flat_circuit_samples_equal_ctrl_reference(t):
+    tables = _circuit_tables(t)
+    e = designs.build_qubit_circuit_design(2, t, tables)
+    _assert_flat(e)
+    ref = _reference_sample(_nested_circuit_doc(t, tables), np.random.default_rng(7), 40)
+    assert e.sample(np.random.default_rng(7), 40).tobytes() == ref.tobytes()
+    assert e.size == designs.build_qudit_design(2, t).size ** (2 * len(tables) + 2)
+
+
+def test_flat_qudit_4_2_samples_match_nested_reference():
+    e = designs.build_qudit_design(4, 2)
+    _assert_flat(e)
+    ref = _reference_sample(_nested_qudit_4_2_doc(), np.random.default_rng(5), 30)
+    # only the products' association differs
+    assert np.abs(e.sample(np.random.default_rng(5), 30) - ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("build", [
+    lambda: designs.build_qudit_design(5, 2),
+    lambda: designs.build_qubit_circuit_design(3, 1, {
+        (2, (1,)): np.array([0.1, 0.2]), (3, (1,)): np.array([0.3, 0.4, 0.5, 0.6])}),
+    designs.interleaved_clifford_design,
+    lambda: designs.UnitaryEnsemble(d=2, kind="product", layers=(
+        designs.EnsembleLayer(designs.build_qudit_design(2, 3, cap=100)),
+        designs.FixedLayer(np.eye(2, dtype=complex)),
+        designs.EnsembleLayer(designs.build_qudit_design(2, 3, cap=100)))),
+])
+def test_product_layers_are_fixed_or_explicit(build):
+    e = build()
+    _assert_flat(e)
+    u = e.sample(np.random.default_rng(2), 6)
+    assert np.abs(np.einsum("nij,nik->njk", u.conj(), u) - np.eye(e.d)).max() < 1e-12
+
+
+def test_load_nested_and_ctrl_layers(tmp_path):
+    # a file in the older form: a ctrl layer over the square roots of unity,
+    # a fixed Hadamard and a nested product of {I, X} and a fixed S
+    h = 0.7071067811865476
+    doc = {"format": "exactrb-design", "version": 1, "d": 2, "kind": "product", "layers": [
+        {"kind": "ctrl", "ensemble": {"d": 1, "kind": "explicit",
+                                      "elements": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]}},
+        {"kind": "fixed", "matrix": [[[h, 0.0], [h, 0.0]], [[h, 0.0], [-h, 0.0]]]},
+        {"kind": "ensemble", "ensemble": {"d": 2, "kind": "product", "layers": [
+            {"kind": "ensemble", "ensemble": {"d": 2, "kind": "explicit", "elements": [
+                [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]]}},
+            {"kind": "fixed", "matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                         [[0.0, 0.0], [0.0, 1.0]]]}]}}]}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    e = designs.load_design(str(path))
+    _assert_flat(e)
+    assert [type(x).__name__ for x in e.layers] == [
+        "EnsembleLayer", "EnsembleLayer", "FixedLayer", "EnsembleLayer", "FixedLayer"]
+    assert e.size == 8
+    got = e.sample(np.random.default_rng(11), 50)
+    ref = _reference_sample(doc, np.random.default_rng(11), 50)
+    assert np.abs(got - ref).max() <= 1e-15
+    # and the 2-qubit circuit in its ctrl form samples bit for bit
+    tables = _circuit_tables(2)
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(dict(_nested_circuit_doc(2, tables), format="exactrb-design")))
+    got = designs.load_design(str(path)).sample(np.random.default_rng(4), 20)
+    assert got.tobytes() == designs.build_qubit_circuit_design(2, 2, tables).sample(
+        np.random.default_rng(4), 20).tobytes()
