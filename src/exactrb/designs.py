@@ -127,6 +127,39 @@ class UnitaryEnsemble:
         return math.prod(x.ensemble.size for x in self.layers
                          if isinstance(x, EnsembleLayer))
 
+    @functools.cached_property
+    def is_group(self) -> bool:
+        """Whether an explicit ensemble is a finite group modulo phase that
+        holds each element once, so that uniform draws are uniform on the
+        group.  Compared by ROUND_DECIMALS keys of canonical-phase
+        representatives; computed once per object.
+
+        The elements are walked in order; one outside the subgroup closed so
+        far joins the generators and the subgroup is closed again, stopping
+        once it has more elements than the ensemble.  The ensemble is a group
+        when the last subgroup's keys are its own.
+        """
+        if self.kind != "explicit":
+            return False
+        keys = _round_keys(_canonical_phases(self.elements))
+        target = set(keys)
+        if len(target) != len(keys):
+            return False
+        gens: list[np.ndarray] = []
+        sub = set(_round_keys(np.eye(self.d, dtype=complex)[None]))
+        for u, key in zip(self.elements, keys):
+            if key in sub:
+                continue
+            gens.append(u)
+            try:
+                closed = _closure(gens, self.d, max_products=len(keys) * len(gens))
+            except RuntimeError:
+                return False
+            sub = set(_round_keys(closed))
+            if not sub <= target:
+                return False
+        return sub == target
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n elements uniformly as an (n, d, d) stack."""
         if self.kind == "explicit":

@@ -223,9 +223,9 @@ def _batch_ptms(us: np.ndarray) -> np.ndarray:
     return channels.transfer_matrices(us).real
 
 
-# Memory budget of one block of Monte Carlo sequences, and of an explicit
-# design's PTM table.  The block size depends only on (m, d, n_sequences)
-# and on whether a table is used, so reruns split the work identically.
+# Memory budget of one block of Monte Carlo sequences, and of a group
+# design's M table.  The block size depends only on (m, d, n_sequences) and
+# on whether a table is used, so reruns split the work identically.
 BLOCK_BYTES = 32 * 2 ** 20
 # outcome probabilities below this are not rounding error: the noise is
 # not completely positive
@@ -234,8 +234,8 @@ NEG_PROB_TOL = 1e-9
 
 def _block_size(m: int, d: int, n: int, table: bool) -> int:
     if table:
-        # m gate indices, plus one gathered complex PTM per step
-        per_sequence = m * 8 + 16 * d ** 4
+        # m element indices, plus one gathered real M per step
+        per_sequence = m * 8 + 8 * d ** 4
     else:
         # m sampled unitaries, and the two complex PTM-sized arrays
         # that channels.transfer_matrices holds at its peak
@@ -248,27 +248,41 @@ def _stream(seed: int, m: int, i: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, m, i))))
 
 
+def _m_table(design: designs.UnitaryEnsemble, noise_mat: np.ndarray) -> np.ndarray:
+    """M_h = L_h^T N L_h for every element h of an explicit design.
+
+    Built a chunk of elements at a time, so that the table (8 d^4 bytes per
+    element) and one chunk's transfer matrices (channels.transfer_matrices
+    peaks at 32 d^4 bytes per element) stay within BLOCK_BYTES, up to the
+    kernel's fixed buffers, when the table leaves room for one element.
+    """
+    d = design.d
+    table = np.empty((design.size, d * d, d * d))
+    chunk = max(1, (BLOCK_BYTES - table.nbytes) // (32 * d ** 4 + 16 * d ** 2))
+    for start in range(0, design.size, chunk):
+        ls = channels.transfer_matrices(design.elements[start:start + chunk]).real
+        np.matmul(ls.transpose(0, 2, 1) @ noise_mat, ls, out=table[start:start + chunk])
+        del ls  # freed before the next chunk's kernel runs
+    return table
+
+
 class _Runtime:
     """Per-config precomputation shared across sequences.
 
-    draws is the number of gates the run will sample.  An explicit design
-    gets a table of complex element PTMs (channels.transfer_matrices peaks
-    at two PTM-sized arrays, 32 d^4 bytes per element) only when it fits
-    BLOCK_BYTES and the run draws at least as many gates as the design
-    has elements; otherwise the sampled gates' PTMs are computed per
-    block, as for product designs.
+    A length takes the M table of a design (table_for) only when the design
+    is a checked group (UnitaryEnsemble.is_group), its table fits
+    BLOCK_BYTES, and the length's sequences draw at least as many gates as
+    the group has elements.  The choice rests on that length alone, so the
+    values at one length do not depend on which other lengths run.  Any
+    other length is propagated physically: the sampled gates' PTMs are
+    computed per block.
     """
 
-    def __init__(self, config: RBConfig, draws: int):
-        d = config.design.d
-        self.d = d
+    def __init__(self, config: RBConfig):
+        self.design = config.design
+        self.d = config.design.d
         self.noise_mat = config.noise.matrix
-
-        self.table = None
-        if config.design.kind == "explicit":
-            size = config.design.elements.shape[0]
-            if size * 32 * d ** 4 <= BLOCK_BYTES and size <= draws:
-                self.table = channels.transfer_matrices(config.design.elements)
+        self._table = None
 
         # initial operator as a weighted sum of eigenstate preparations
         w, vecs = np.linalg.eigh(config.o_ini)
@@ -296,34 +310,49 @@ class _Runtime:
         if config.spam is not None:
             self.readout = config.spam.readout_matrix()
 
+    def table_for(self, draws: int) -> np.ndarray | None:
+        """The M table (_m_table) for a length that draws `draws` gates, or
+        None for physical propagation.  The group check runs only when the
+        table would pay, and the table is built once."""
+        design = self.design
+        if not (design.kind == "explicit" and design.size <= draws
+                and design.size * 8 * self.d ** 4 <= BLOCK_BYTES and design.is_group):
+            return None
+        if self._table is None:
+            self._table = _m_table(design, self.noise_mat)
+        return self._table
 
-def _run_block(config: RBConfig, rt: _Runtime, m: int, rngs: list,
-               first: int) -> np.ndarray:
-    """Measured values of the sequences first, first + 1, ... of length m.
+
+def _run_block(config: RBConfig, rt: _Runtime, table: np.ndarray | None, m: int,
+               rngs: list, first: int) -> np.ndarray:
+    """Measured values of the sequences first, first + 1, ... of length m,
+    through the M table when one is given.
 
     rngs[j] is the stream of sequence first + j.  Each stream draws its m
     gates, then, after the whole block has been propagated, its shots, so
     the draws do not depend on how sequences are grouped into blocks.
     """
-    design = config.design
-    if rt.table is not None:
-        # the draws of UnitaryEnsemble.sample, looked up in the PTM table
-        units, ptms = design.elements, rt.table
-        idx = np.array([rng.integers(units.shape[0], size=m) for rng in rngs])
+    state = rt.prep_vecs  # broadcast to (block, d^2, n_prep) by the first step
+    if table is not None:
+        # the draws of UnitaryEnsemble.sample, read as the running products
+        # h_k = g_k ... g_1.  Since L_(g_k) = L_(h_k) L_(h_(k-1))^T, the noisy
+        # sequence with its noisy inverse is N M_(h_m) ... M_(h_1).
+        idx = np.array([rng.integers(len(table), size=m) for rng in rngs]).T.copy()
+        for k in range(m):
+            state = table.take(idx[k], axis=0) @ state
     else:
         # for an explicit design, sample draws the same indices
-        units = np.concatenate([design.sample(rng, m) for rng in rngs])
-        ptms = channels.transfer_matrices(units)
-        idx = np.arange(units.shape[0]).reshape(len(rngs), m)
-
-    state = rt.prep_vecs  # broadcast to (block, d^2, n_prep) by the first step
-    prod = units[idx[:, 0]]
-    for k in range(m):
-        if k:
-            prod = units[idx[:, k]] @ prod
-        state = rt.noise_mat @ (ptms[idx[:, k]].real @ state)
-    linv = _batch_ptms(prod.conj().transpose(0, 2, 1))
-    state = rt.noise_mat @ (linv @ state)
+        d, b = rt.d, len(rngs)
+        units = np.concatenate([config.design.sample(rng, m) for rng in rngs])
+        ptms = channels.transfer_matrices(units).reshape(b, m, d * d, d * d)
+        units = units.reshape(b, m, d, d)
+        prod = units[:, 0]
+        for k in range(m):
+            if k:
+                prod = units[:, k] @ prod
+            state = rt.noise_mat @ (ptms[:, k].real @ state)
+        state = _batch_ptms(prod.conj().transpose(0, 2, 1)) @ state
+    state = rt.noise_mat @ state
 
     probs = rt.outcome_projs @ state  # (block, d outcomes, n_prep)
     if rt.readout is not None:
@@ -367,25 +396,33 @@ def v_t_monte_carlo(config: RBConfig) -> DecayCurve:
     results are bit-identical for a given seed regardless of evaluation
     order or thread count.  All sequences of one length advance together,
     in blocks whose size follows from BLOCK_BYTES and (m, d, n_sequences)
-    alone, which bounds memory for long two-qubit runs.  An explicit
-    design's gate PTMs are computed once per config and looked up per
-    step when its table fits BLOCK_BYTES and the run draws at least as
-    many gates as the design has elements; otherwise, and for product
-    designs, the sampled gates' PTMs are computed per block.  Raises
+    alone, which bounds memory for long two-qubit runs.
+
+    Two paths, chosen per length from the design and n_sequences * m alone
+    (see _Runtime): on a checked group whose M table fits BLOCK_BYTES and
+    pays at this length, the draws are read as the running products h_k,
+    i.i.d. uniform on the group, and each step applies one gathered
+    M_h = L_h^T N L_h, with one final N and no inverse step; every other
+    length, non-group explicit design and product design is propagated
+    physically, its sampled gates' PTMs computed per block.  Both give the
+    same estimator distribution; group lengths agree with physical
+    propagation of the gates g_k = h_k h_(k-1)^dag at rounding level, not
+    bit for bit, and reruns are bit-identical on both paths.  Raises
     ValueError naming m and the sequence index when an outcome
     probability is negative beyond rounding (noise that is not completely
     positive).
     """
     n = config.n_sequences
-    rt = _Runtime(config, n * sum(config.sequence_lengths))
+    rt = _Runtime(config)
     pts = []
     for m in config.sequence_lengths:
         vals = np.empty(n)
-        size = _block_size(m, rt.d, n, rt.table is not None)
+        table = rt.table_for(n * m)
+        size = _block_size(m, rt.d, n, table is not None)
         for start in range(0, n, size):
             stop = min(start + size, n)
             rngs = [_stream(config.seed, m, i) for i in range(start, stop)]
-            vals[start:stop] = _run_block(config, rt, m, rngs, start)
+            vals[start:stop] = _run_block(config, rt, table, m, rngs, start)
         powered = vals ** config.t_order
         pts.append((m, powered.mean(), _jackknife_stderr(powered),
                     n, config.n_shots))

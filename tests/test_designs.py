@@ -355,6 +355,28 @@ def test_closure_product_guard(monkeypatch):
         designs._closure(gens, d, max_products=47)
 
 
+# icosahedral stacks that are not groups
+NOT_GROUPS = {
+    # the first 59 elements generate all 60
+    "subset59": lambda e: e[:59],
+    "haar_swapped": lambda e: np.concatenate(
+        [e[:17], numerics.haar_unitaries(2, 1, np.random.default_rng(0)), e[18:]]),
+    # all 60, one of them twice: uniform draws are not uniform on the group
+    "repeated": lambda e: np.concatenate([e, e[5:6]]),
+}
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_groups_pass_the_group_check(name):
+    assert GROUPS[name]().is_group
+
+
+@pytest.mark.parametrize("name", NOT_GROUPS)
+def test_non_groups_fail_the_group_check(name):
+    elems = NOT_GROUPS[name](designs.icosahedral_group().elements)
+    assert not designs.UnitaryEnsemble(d=2, kind="explicit", elements=elems).is_group
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_stacked_phase_and_keys_match_per_matrix(data):

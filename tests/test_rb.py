@@ -2,6 +2,7 @@
 
 import functools
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -207,6 +208,10 @@ def test_monte_carlo_per_length_streams():
     full = rb.v_t_monte_carlo(base_config(sequence_lengths=(1, 2, 4)))
     part = rb.v_t_monte_carlo(base_config(sequence_lengths=(2,)))
     assert full.points[1] == part.points[0]
+    # so does a length that takes the group's M table (20 m >= 60 at m = 4)
+    full = rb.v_t_monte_carlo(base_config(n_sequences=20, sequence_lengths=(1, 2, 4)))
+    part = rb.v_t_monte_carlo(base_config(n_sequences=20, sequence_lengths=(4,)))
+    assert full.points[2] == part.points[0]
 
 
 def test_monte_carlo_matches_exact_within_error():
@@ -273,9 +278,17 @@ def test_non_cp_noise_fails_fast():
 # the batched engine against a per-sequence reference
 
 
-def reference_sequence(config, m, rng, rt):
-    """One sequence, gate by gate: the engine's arithmetic without batching."""
+def reference_sequence(config, m, rng, rt, group=False):
+    """One sequence, gate by gate: the engine's arithmetic without batching.
+
+    With group, the drawn elements are the running products h_k = g_k ...
+    g_1 of a group design, as the engine's M table reads them, and the
+    physical gates g_k = h_k h_(k-1)^dag are propagated.
+    """
     us = config.design.sample(rng, m)
+    if group:
+        prev = np.concatenate([np.eye(config.design.d, dtype=complex)[None], us[:-1]])
+        us = us @ prev.conj().transpose(0, 2, 1)
     ls = rb._batch_ptms(us)
     prod = us[0]
     for i in range(1, m):
@@ -300,26 +313,38 @@ def reference_sequence(config, m, rng, rt):
     return float(rt.prep_weights @ means)
 
 
-def reference_v_t(config):
-    """V^(t)(m) from one Philox stream per (seed, m, i), one sequence at a time."""
-    rt = rb._Runtime(config, draws=0)  # no table: PTMs of the sampled gates
+def reference_v_t(config, group_lengths=()):
+    """V^(t)(m) from one Philox stream per (seed, m, i), one sequence at a
+    time; the lengths in group_lengths read the draws as running products."""
+    rt = rb._Runtime(config)
     pts = []
     for m in config.sequence_lengths:
         vals = np.empty(config.n_sequences)
         for i in range(config.n_sequences):
             ss = np.random.SeedSequence((config.seed, m, i))
             rng = np.random.Generator(np.random.Philox(ss))
-            vals[i] = reference_sequence(config, m, rng, rt)
+            vals[i] = reference_sequence(config, m, rng, rt, m in group_lengths)
         powered = vals ** config.t_order
         pts.append((m, powered.mean(), rb._jackknife_stderr(powered),
                     config.n_sequences, config.n_shots))
     return rb.DecayCurve(points=tuple(pts))
 
 
+def assert_rounding_level(got, want):
+    """Equal m, n_sequences and n_shots columns; values and stderrs within
+    1e-12."""
+    assert [p[::3] + p[4:] for p in got.points] == [p[::3] + p[4:] for p in want.points]
+    assert np.abs(got.values - want.values).max() <= 1e-12
+    assert np.abs(got.stderrs - want.stderrs).max() <= 1e-12
+
+
 @functools.cache
 def engine_design(name):
     if name == "icosahedral":
         return ico()
+    if name == "icosahedral59":
+        # not a group: the physical path at any budget
+        return designs.UnitaryEnsemble(d=2, kind="explicit", elements=ico().elements[:59])
     if name == "clifford1":
         return designs.clifford_group(1)
     if name == "interleaved2q":
@@ -334,31 +359,100 @@ def engine_design(name):
 def test_engine_bit_identical_long_sequences():
     # Single-eigenstate preparations take numpy's matrix-vector product,
     # where a change of operand layout (BLAS against numpy's own loop)
-    # moves the last bit of some of these values.
+    # moves the last bit of some of these values.  The group's M table,
+    # taken where 13 m draws reach its 60 elements, agrees with its
+    # physical gates at rounding level.
     cfg = base_config(noise=channels.random_cptp(2, 3, seed=1).to_ptm(),
                       t_order=1, o_ini=P0, o_meas=P0, n_sequences=13,
                       sequence_lengths=(2, 5, 30, 120), seed=1,
                       spam=rb.SPAMModel(eta_prep=0.1, eta_meas=(0.05, 0.2)))
-    assert rb.v_t_monte_carlo(cfg).points == reference_v_t(cfg).points
+    sub = replace(cfg, design=engine_design("icosahedral59"))
+    assert rb.v_t_monte_carlo(sub).points == reference_v_t(sub).points
+    got = rb.v_t_monte_carlo(cfg)
+    assert got.points[0] == reference_v_t(cfg).points[0]
+    assert_rounding_level(got, reference_v_t(cfg, group_lengths=(5, 30, 120)))
 
 
 def test_explicit_design_without_table():
-    # The table of element PTMs is built only when it fits the byte budget
-    # and the run draws at least as many gates as the design has elements;
-    # otherwise explicit designs take the per-block sampling path, which
-    # draws the same indices.
+    # A length takes a group's M table only when the table fits the byte
+    # budget and the length draws at least as many gates as the group has
+    # elements (6 m >= 60 here); otherwise it takes the per-block physical
+    # path, which draws the same indices.
     cfg = base_config(noise=channels.random_cptp(2, 3, seed=2).to_ptm(),
-                      t_order=2, n_sequences=6, sequence_lengths=(1, 4, 9),
+                      t_order=2, n_sequences=6, sequence_lengths=(1, 10, 25),
                       n_shots=50, seed=3)
-    size = cfg.design.elements.shape[0]
-    assert rb._Runtime(cfg, size).table is not None
-    assert rb._Runtime(cfg, size - 1).table is None
+    size = cfg.design.size
+    assert rb._Runtime(cfg).table_for(size) is not None
+    assert rb._Runtime(cfg).table_for(size - 1) is None
     with_table = rb.v_t_monte_carlo(cfg)
-    table_bytes = size * 32 * cfg.design.d ** 4
+    table_bytes = size * 8 * cfg.design.d ** 4
+    with mock.patch.object(rb, "BLOCK_BYTES", table_bytes):
+        assert rb._Runtime(cfg).table_for(size) is not None
     with mock.patch.object(rb, "BLOCK_BYTES", table_bytes - 1):
-        assert rb._Runtime(cfg, 10 ** 9).table is None
+        assert rb._Runtime(cfg).table_for(10 ** 9) is None
         without = rb.v_t_monte_carlo(cfg)
-    assert without.points == with_table.points == reference_v_t(cfg).points
+    physical = reference_v_t(cfg)
+    assert without.points == physical.points
+    assert with_table.points[0] == physical.points[0]
+    assert_rounding_level(with_table, reference_v_t(cfg, group_lengths=(10, 25)))
+
+
+@pytest.mark.parametrize("change", [
+    lambda e: e[:59],
+    lambda e: np.concatenate(
+        [e[:17], numerics.haar_unitaries(2, 1, np.random.default_rng(0)), e[18:]]),
+], ids=["subset59", "haar_swapped"])
+def test_non_group_takes_physical_path(change):
+    design = designs.UnitaryEnsemble(d=2, kind="explicit", elements=change(ico().elements))
+    cfg = base_config(design=design, noise=channels.random_cptp(2, 2, seed=4).to_ptm(),
+                      n_sequences=12, sequence_lengths=(1, 6, 20), n_shots=30, seed=5,
+                      spam=rb.SPAMModel(eta_prep=0.05, eta_meas=0.02))
+    assert rb._Runtime(cfg).table_for(10 ** 9) is None
+    assert rb.v_t_monte_carlo(cfg).points == reference_v_t(cfg).points
+
+
+def test_group_check_runs_once_per_design():
+    # C2's M table (23.6 MB) fits the budget; its 94 MB of complex PTMs
+    # never did.  The second run on the same object reuses the check.
+    c2 = designs.clifford_group(2)
+    zz = np.kron(Z, Z)
+    cfg = base_config(design=c2, noise=channels.noise2_model(0.02, 0.9), t_order=1,
+                      o_ini=paulis.named_operator("P00"), o_meas=zz,
+                      n_sequences=192, sequence_lengths=(60,))
+    with mock.patch.object(designs, "_closure", wraps=designs._closure) as closure:
+        assert rb._Runtime(cfg).table_for(c2.size) is not None
+        assert closure.call_count > 0
+        closure.reset_mock()
+        first = rb.v_t_monte_carlo(cfg)
+        assert rb.v_t_monte_carlo(cfg).points == first.points
+        assert closure.call_count == 0
+
+
+@pytest.mark.parametrize("name", ["icosahedral", "clifford1"])
+def test_m_table_averages_to_the_twirled_noise(name):
+    # over a 2-design, the mean of L_h^T N L_h is the Haar twirl of N
+    noise = channels.random_cptp(2, 3, seed=11).to_ptm().matrix
+    f = (np.trace(noise) - 1.0) / 3.0
+    mean = rb._m_table(engine_design(name), noise).mean(axis=0)
+    assert np.abs(mean - np.diag([1.0, f, f, f])).max() <= 1e-13
+
+
+def test_m_table_peak_within_budget():
+    # the table plus one chunk's transfer matrices (32 d^4 bytes per element,
+    # as in test_ptm_kernel_peak_within_block_count) and its conjugated stack
+    c2 = designs.clifford_group(2)
+    d = c2.d
+    noise = channels.noise2_model(0.02, 0.9).matrix
+    rb._m_table(designs.UnitaryEnsemble(d=d, kind="explicit", elements=c2.elements[:1]),
+                noise)
+    tracemalloc.start()
+    try:
+        table = rb._m_table(c2, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == c2.size * 8 * d ** 4 <= rb.BLOCK_BYTES
+    assert peak <= rb.BLOCK_BYTES + 32 * d ** 4 + 8192
 
 
 def einsum_ptms(us, q):
@@ -413,7 +507,8 @@ def test_ptm_kernel_peak_within_block_count(n):
 @given(data=st.data())
 def test_engine_matches_reference(data):
     name = data.draw(st.sampled_from(
-        ["icosahedral", "clifford1", "product1q", "interleaved2q"]), label="design")
+        ["icosahedral", "icosahedral59", "clifford1", "product1q", "interleaved2q"]),
+        label="design")
     design = engine_design(name)
     one_qubit = design.d == 2
     t_order = data.draw(st.sampled_from([1, 2]), label="t_order")
@@ -440,21 +535,28 @@ def test_engine_matches_reference(data):
         n_shots=data.draw(st.one_of(st.just(0), st.integers(1, 64)), label="shots"),
         seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"),
         o_ini=o_ini, o_meas=o_meas, spam=spam)
-    # 1 byte makes every block a single sequence and leaves explicit designs
-    # without a PTM table; 20 kB gives the icosahedral group no table and
-    # blocks of a few sequences at the longer lengths; 13 kB just fits the
-    # 24-element Clifford table and splits its longer lengths into two blocks
-    budget = data.draw(st.sampled_from([1, 13_000, 20_000, rb.BLOCK_BYTES]),
+    # 1 byte makes every block a single sequence and leaves groups without
+    # an M table (128 bytes per one-qubit element); 4 kB fits the
+    # 24-element Clifford table but not the icosahedral one and splits long
+    # lengths into blocks; 8 kB just fits the 60-element icosahedral table
+    budget = data.draw(st.sampled_from([1, 4_000, 8_000, rb.BLOCK_BYTES]),
                        label="budget")
+    n = cfg.n_sequences
+    fits = (name in ("icosahedral", "clifford1")
+            and design.size * 8 * design.d ** 4 <= budget)
+    on_table = [m for m in cfg.sequence_lengths if fits and design.size <= n * m]
     with mock.patch.object(rb, "BLOCK_BYTES", budget):
+        rt = rb._Runtime(cfg)
+        assert [m for m in cfg.sequence_lengths
+                if rt.table_for(n * m) is not None] == on_table
         got = rb.v_t_monte_carlo(cfg)
-    want = reference_v_t(cfg)
+    want = reference_v_t(cfg, group_lengths=on_table)
+    assert_rounding_level(got, want)
     if design.kind == "explicit":
-        assert got.points == want.points
-    else:
-        assert [p[::3] for p in got.points] == [p[::3] for p in want.points]
-        assert np.abs(got.values - want.values).max() <= 1e-12
-        assert np.abs(got.stderrs - want.stderrs).max() <= 1e-12
+        # physical propagation of an explicit design is the reference's, bit
+        # for bit
+        assert ([p for p in got.points if p[0] not in on_table]
+                == [p for p in want.points if p[0] not in on_table])
 
 
 # ---------------------------------------------------------------------------
