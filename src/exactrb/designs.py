@@ -278,25 +278,25 @@ def rotation_unitary(thetas: Sequence[float], d1: int, d: int) -> np.ndarray:
     return out
 
 
-def build_qudit_design(d: int, t: int, cap: int = TOWER_BYTES) -> UnitaryEnsemble:
+def build_qudit_design(d: int, t: int) -> UnitaryEnsemble:
     """Exact strong t-design on U(d) by the inductive tower construction.
 
     Recursion: a strong design on U(d-1) is direct-summed with W1, then
     interleaved with one zonal-angle rotation per nonzero spherical label of
     (U(d), U(1) x U(d-1)).  The result is multiplied out explicitly when its
-    stack of complex d x d matrices, 16 d^2 bytes each, fits in ``cap``
-    bytes, else returned as a product sampler.
+    stack of complex d x d matrices, 16 d^2 bytes each, fits in TOWER_BYTES,
+    else returned as a product sampler.
     """
     if d < 1 or t < 1:
         raise ValueError("need d >= 1 and t >= 1")
     if d == 1:
         return w1(t)
-    inner = build_qudit_design(d - 1, t, cap=cap)
+    inner = build_qudit_design(d - 1, t)
     base = direct_sum_ensemble(w1(t), inner)
     labels = zonal.enumerate_sph_labels(1, d, t)
-    rotations = [rotation_unitary(zonal.find_angles(lab).thetas, 1, d) for lab in labels]
+    rotations = [rotation_unitary(zonal.find_angles(lab), 1, d) for lab in labels]
     stack_bytes = base.size ** (len(labels) + 1) * 16 * d * d
-    if base.kind == "explicit" and stack_bytes <= cap:
+    if base.kind == "explicit" and stack_bytes <= TOWER_BYTES:
         cur = base.elements
         for rot in rotations:
             cur = np.einsum("iab,jbc->ijac", cur @ rot, base.elements)
@@ -538,7 +538,7 @@ def _haar_reference(d: int, t: int) -> np.ndarray:
     """Haar value of the diagonal (t, t) moment; the others are zero."""
     if t == 0:
         return np.ones((1, 1), dtype=complex)
-    return haar.haar_moment_projector(d, t).matrix
+    return haar.haar_moment_projector(d, t)
 
 
 def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
@@ -557,7 +557,10 @@ def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
     (mode "commutant", no moment budget).  Other product ensembles are
     sampled ``mc_samples`` times and compared at three standard errors.
     ``frame_potential_mode`` "auto" adds the frame potential at order t and
-    "skip" leaves it out.
+    "skip" leaves it out.  An exact report's frame potential is
+    ||M_tt||_F^2 of the (t, t) moment it checked, E|tr(U^dag V)|^(2t) over
+    all pairs, with no stderr; a sampled report's is a sample of
+    ``mc_samples`` independent pairs with its stderr.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -578,7 +581,8 @@ def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
     stack = e.elements if exact else e.sample(np.random.default_rng(seed), mc_samples)
     residuals = {}
     stderrs = None if exact else {}
-    for (r, s), avg in zip(pairs, haar.mixed_moment(stack, pairs)):
+    moments = haar.mixed_moment(stack, pairs)
+    for (r, s), avg in zip(pairs, moments):
         # numpy's sum, not np.linalg.norm: BLAS dot splits long sums by thread;
         # the Haar value of an r != s cell is zero, and x - 0.0 = x
         diff = avg - _haar_reference(e.d, r) if r == s else avg
@@ -592,11 +596,11 @@ def verify_strong_design(e: UnitaryEnsemble, t: int, tol: float = 1e-10,
     fp = fp_se = haar_fp = None
     if frame_potential_mode != "skip":
         haar_fp = haar.haar_frame_potential(e.d, t)
-        if e.kind == "explicit" and e.size ** 2 <= 4_000_000:
-            fp, fp_se = frame_potential(e, t, mode="exact-pairs")
+        if exact:
+            # the last checked cell is (t, t); numpy's sum, as for the residuals
+            fp = float((np.abs(moments[-1]) ** 2).sum())
         else:
-            fp, fp_se = frame_potential(e, t, mode="mc", seed=seed + 1,
-                                        samples=mc_samples or 10_000)
+            fp, fp_se = frame_potential(e, t, mode="mc", seed=seed + 1, samples=mc_samples)
     return DesignReport(d=e.d, t_checked=t, strong=strong, mode="exact" if exact else "mc",
                         tol=tol, residuals=residuals, stderrs=stderrs, frame_potential=fp,
                         frame_potential_stderr=fp_se, haar_frame_potential=haar_fp,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,19 +33,6 @@ MOMENT_BYTES = 2 ** 30
 # panel (128 rows for OpenBLAS's SkylakeX kernels) sums every entry in the
 # same order at any thread count; the chunks are then added in order.
 CHUNK = 64
-
-
-@dataclass(frozen=True)
-class MomentOperator:
-    """Dense t-th Haar moment operator on U(d).
-
-    ``matrix`` acts on vec'd operators over (C^d)^(x t); it is a Hermitian
-    idempotent whose rank equals the Haar frame potential.
-    """
-
-    d: int
-    t: int
-    matrix: np.ndarray
 
 
 def perm_operator(sigma: tuple[int, ...], d: int) -> np.ndarray:
@@ -100,11 +86,9 @@ def _gram_pinv(d: int, t: int) -> tuple[np.ndarray, int]:
     return numerics.pinv_psd(_gram(d, t))
 
 
-def check_moment_budget(d: int, t: int, n: int = 0, cap: int | None = None,
-                        strong: bool = False) -> None:
+def check_moment_budget(d: int, t: int, n: int = 0, strong: bool = False) -> None:
     """Refuse a dense moment check on U(d) at order t that needs more than
-    cap bytes (default MOMENT_BYTES), with a ValueError naming d, t and the
-    bytes.
+    MOMENT_BYTES, with a ValueError naming d, t and the bytes.
 
     With n = 0 the check is the (t, t) Haar projector alone: one
     d^(2t)-side complex matrix.  For the moments of n unitaries, as
@@ -120,29 +104,28 @@ def check_moment_budget(d: int, t: int, n: int = 0, cap: int | None = None,
         need = 16 * (cells + 3 * sides[t] ** 2 + 2 * min(n, CHUNK) * sum(sides[1:]))
     else:
         need = 16 * sides[t] ** 2
-    cap = MOMENT_BYTES if cap is None else cap
-    if need > cap:
+    if need > MOMENT_BYTES:
         raise ValueError(
             f"the dense moment at d = {d}, t = {t} needs {need:,} bytes, "
-            f"over the {cap:,}-byte budget")
+            f"over the {MOMENT_BYTES:,}-byte budget")
 
 
-def haar_moment_projector(d: int, t: int, cap: int | None = None) -> MomentOperator:
+def haar_moment_projector(d: int, t: int) -> np.ndarray:
     """Exact t-th Haar moment operator on U(d) as a dense matrix.
 
-    The matrix has side d^(2t), so its 16 d^(4t) bytes may not exceed cap
-    (default MOMENT_BYTES); larger (d, t) cells are served by
-    :func:`haar_frame_potential` alone.
+    It acts on vec'd operators over (C^d)^(x t) and is a Hermitian
+    idempotent whose rank equals the Haar frame potential.  Its side is
+    d^(2t), so its 16 d^(4t) bytes may not exceed MOMENT_BYTES; larger
+    (d, t) cells are served by :func:`haar_frame_potential` alone.
     """
     if t < 1 or t > MAX_T:
         raise ValueError(f"t must be in 1..{MAX_T}")
-    check_moment_budget(d, t, cap=cap)
+    check_moment_budget(d, t)
     perms = _permutations(t)
     vecs = np.array([perm_operator(s, d).reshape(-1) for s in perms])
     gram_pinv, _ = _gram_pinv(d, t)
     # M = V^T pinv(G) conj(V); P_sigma is real so conj is a formality.
-    m = vecs.T @ gram_pinv @ vecs.conj()
-    return MomentOperator(d=d, t=t, matrix=m)
+    return vecs.T @ gram_pinv @ vecs.conj()
 
 
 def haar_frame_potential(d: int, t: int) -> int:

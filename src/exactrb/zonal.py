@@ -3,10 +3,13 @@ they prescribe.
 
 For the pair (U(d), U(1) x U(d-1)) the spherical functions of the labels
 (k, 0, ..., 0, -k) are polynomials in the single invariant x = cos^2(theta)
-of the double coset, realized here through the Jacobi three-term recurrence
-with parameters (d - 2, 0) in the variable 2x - 1 and normalized to 1 at
-x = 1.  Their zeros supply the rotation angles of the inductive design
-construction; the largest zero in (0, 1) is the one used.
+of the double coset: the Jacobi polynomials P_k^(d-2, 0)(2x - 1),
+normalized to 1 at x = 1.  Their zeros supply the rotation angles of the
+inductive design construction; the largest zero in (0, 1) is the one used.
+The zeros are the eigenvalues of the recurrence's symmetric tridiagonal
+Jacobi matrix (Golub & Welsch), exact to rounding, with no root search;
+:func:`_jacobi_shifted` evaluates the polynomial itself by the three-term
+recurrence, an independent check of them.
 
 A Monte Carlo estimator (:func:`zonal_value_mc`) provides an independent
 definition that never touches the Jacobi recurrence: matrix coefficients of
@@ -21,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import numerics
-
-ROOT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -45,12 +47,6 @@ class SphericalLabel:
             raise ValueError("partition length exceeds d1")
         if self.d1 * 2 > self.d:
             raise ValueError("need d1 <= d/2")
-
-
-@dataclass(frozen=True)
-class AngleSolution:
-    label: SphericalLabel
-    thetas: np.ndarray
 
 
 def enumerate_sph_labels(d1: int, d: int, t: int) -> list[SphericalLabel]:
@@ -78,7 +74,11 @@ def enumerate_sph_labels(d1: int, d: int, t: int) -> list[SphericalLabel]:
 
 
 def _jacobi_shifted(k: int, d: int, x):
-    """P_k^(d-2, 0)(2x - 1) normalized to 1 at x = 1, by the recurrence."""
+    """P_k^(d-2, 0)(2x - 1) normalized to 1 at x = 1, by the recurrence.
+
+    Nothing in the construction calls it: it checks the zeros of
+    :func:`_zeros` by a route that never forms the Jacobi matrix.
+    """
     alpha = d - 2
     u = 2.0 * np.asarray(x, dtype=float) - 1.0
     p_prev = np.ones_like(u)
@@ -98,57 +98,34 @@ def _jacobi_shifted(k: int, d: int, x):
     return p_cur / norm
 
 
-def _roots_in_unit_interval(k: int, d: int) -> np.ndarray:
-    """All k zeros of the rank-one zonal polynomial, by bracketed bisection.
+def _zeros(k: int, d: int) -> np.ndarray:
+    """The k zeros in (0, 1) of the rank-one zonal polynomial, ascending.
 
-    Sign changes are located on a 10*k point grid (plus endpoints pushed
-    slightly inside (0, 1)); each bracket is bisected until the normalized
-    polynomial value drops below ROOT_TOL.
+    They are x = (u + 1) / 2 over the eigenvalues u of the symmetric Jacobi
+    matrix of P_k^(alpha, 0), alpha = d - 2: the three-term recurrence's
+    coefficients on the tridiagonal (Golub & Welsch, Math. Comp. 23, 1969).
+    The j = 0 diagonal entry -alpha / (alpha + 2) is the general one,
+    -alpha^2 / ((2j + alpha)(2j + alpha + 2)), without its 0/0 at alpha = 0.
     """
-    f = lambda x: _jacobi_shifted(k, d, x)
-    n_grid = 10 * k
-    grid = np.linspace(0.0, 1.0, n_grid + 2)
-    grid[0] = 1e-12
-    grid[-1] = 1.0 - 1e-12
-    vals = f(grid)
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb > 0.0:
-            continue
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = f(mid)
-            if abs(fm) < ROOT_TOL or (b - a) < 1e-16:
-                break
-            if fa * fm <= 0.0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
-    roots = np.array(sorted(roots))
-    if len(roots) != k:
-        raise RuntimeError(f"expected {k} zeros in (0,1), found {len(roots)}")
-    return roots
+    alpha = d - 2.0
+    j = np.arange(1.0, k)
+    s = 2.0 * j + alpha
+    diag = np.concatenate([[-alpha / (alpha + 2.0)], -alpha ** 2 / (s * (s + 2.0))])
+    off = 2.0 * j * (j + alpha) / (s * np.sqrt(s * s - 1.0))
+    return (scipy.linalg.eigvalsh_tridiagonal(diag, off) + 1.0) / 2.0
 
 
-def find_angles(label: SphericalLabel) -> AngleSolution:
-    """Rotation angle for a rank-one label: theta = arccos(sqrt(x*)) at the
-    largest zero x* of the zonal polynomial.
+def find_angles(label: SphericalLabel) -> np.ndarray:
+    """Rotation angles of a rank-one label: the one-entry array
+    theta = arccos(sqrt(x*)) at the largest zero x* of the zonal polynomial.
 
     Only d1 = 1 labels are supported; multi-variable spherical functions are
     out of scope and their angle tables must be supplied externally.
     """
     if label.d1 != 1:
         raise ValueError("find_angles supports d1 = 1 only; supply external angle tables")
-    k = label.positive_part[0]
-    x_star = _roots_in_unit_interval(k, label.d)[-1]
-    theta = float(np.arccos(np.sqrt(x_star)))
-    return AngleSolution(label=label, thetas=np.array([theta]))
+    x_star = _zeros(label.positive_part[0], label.d)[-1]
+    return np.array([np.arccos(np.sqrt(x_star))])
 
 
 def zonal_value_mc(label: SphericalLabel, u: np.ndarray, samples: int = 200_000,

@@ -40,7 +40,7 @@ def test_criterion_01_haar_projector_ranks():
                 # d=4, t=4: the Gram-rank value check below stands in for
                 # the dense cell, which would need a 65536^2 matrix.
                 continue
-            m = haar.haar_moment_projector(d, t).matrix
+            m = haar.haar_moment_projector(d, t)
             herm = float(np.abs(m - m.conj().T).max())
             if side <= EIG_RANK_MAX:
                 idem = float(np.abs(m @ m - m).max())

@@ -267,8 +267,9 @@ def test_qudit_design_smallest_cell():
     assert report.mode == "exact"
 
 
-def test_qudit_design_cap_falls_back_to_product():
-    e = designs.build_qudit_design(2, 3, cap=100)
+def test_qudit_design_cap_falls_back_to_product(monkeypatch):
+    monkeypatch.setattr(designs, "TOWER_BYTES", 100)
+    e = designs.build_qudit_design(2, 3)
     assert e.kind == "product"
     rng = np.random.default_rng(3)
     us = e.sample(rng, 5)
@@ -276,10 +277,7 @@ def test_qudit_design_cap_falls_back_to_product():
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
-def test_qudit_design_cap_counts_stack_bytes():
-    # (2, 3) multiplies out 65,536 complex 2 x 2 matrices, 64 bytes each
-    assert designs.build_qudit_design(2, 3, cap=65536 * 64).kind == "explicit"
-    assert designs.build_qudit_design(2, 3, cap=65536 * 64 - 1).kind == "product"
+def test_qudit_design_cap_counts_stack_bytes(monkeypatch):
     # the default keeps the small cells explicit; (4, 1), 1 GiB as a stack,
     # and (2, 4), 625 MB, stay products
     for d, t in ((2, 1), (2, 2), (2, 3), (3, 1)):
@@ -287,6 +285,11 @@ def test_qudit_design_cap_counts_stack_bytes():
     for d, t, size in ((4, 1, 2048 ** 2), (2, 4, 25 ** 5)):
         e = designs.build_qudit_design(d, t)
         assert e.kind == "product" and e.size == size
+    # (2, 3) multiplies out 65,536 complex 2 x 2 matrices, 64 bytes each
+    monkeypatch.setattr(designs, "TOWER_BYTES", 65536 * 64)
+    assert designs.build_qudit_design(2, 3).kind == "explicit"
+    monkeypatch.setattr(designs, "TOWER_BYTES", 65536 * 64 - 1)
+    assert designs.build_qudit_design(2, 3).kind == "product"
 
 
 @pytest.mark.parametrize("d,t", [(5, 1), (5, 2), (6, 2)])
@@ -477,6 +480,30 @@ def test_icosahedral_is_two_design():
     assert abs(report.frame_potential - 2.0) < 1e-10
 
 
+def test_exact_report_frame_potential_is_its_moment(qudit_2_3):
+    # the Catalan number 5 at d = 2, t = 3, from the (3, 3) moment's norm
+    report = designs.verify_strong_design(qudit_2_3, 3, tol=1e-9)
+    assert report.mode == "exact" and report.frame_potential_stderr is None
+    assert abs(report.frame_potential - 5.0) <= 1e-12
+    # the two-qubit Clifford group is a 3-design
+    report = designs.verify_strong_design(designs.clifford_group(2), 2, strong=False)
+    assert report.frame_potential_stderr is None
+    assert abs(report.frame_potential - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("build,t", [
+    (designs.icosahedral_group, 4), (lambda: designs.clifford_group(1), 4),
+    (lambda: designs.build_qudit_design(2, 2), 2), (lambda: designs.build_qudit_design(3, 1), 1),
+])
+def test_exact_report_frame_potential_equals_pair_sum(build, t):
+    e = build()
+    assert e.kind == "explicit" and e.size <= 2000
+    report = designs.verify_strong_design(e, t, strong=False)
+    pairs, _ = designs.frame_potential(e, t, mode="exact-pairs")
+    assert report.frame_potential_stderr is None
+    assert abs(report.frame_potential - pairs) <= 1e-12
+
+
 def test_clifford_group_sizes():
     c1 = designs.clifford_group(1)
     assert c1.size == 24
@@ -598,9 +625,8 @@ def test_commutant_residuals_match_dense(n_fixed):
         for cell, value in dense.residuals.items():
             assert abs(reduced.residuals[cell] - value) <= 1e-10
         assert reduced.passed == dense.passed
-        if dense.frame_potential_stderr is None:
-            # pair sums up to 4e6 pairs; 24^3 elements get a sampled one
-            assert abs(reduced.frame_potential - dense.frame_potential) <= 1e-9
+        assert dense.frame_potential_stderr is None
+        assert abs(reduced.frame_potential - dense.frame_potential) <= 1e-9
         assert reduced.haar_frame_potential == dense.haar_frame_potential
         # residual^2 is the frame potential's excess over Haar
         excess = reduced.frame_potential - reduced.haar_frame_potential
@@ -692,7 +718,7 @@ def test_verify_refuses_moments_over_budget(monkeypatch):
         haar.haar_moment_projector(2, 4)
 
 
-def test_moment_budget_bounds_measured_peak():
+def test_moment_budget_bounds_measured_peak(monkeypatch):
     # the icosahedral group: verify holds every checked cell's running
     # total at once, then a chunk's GEMM product and powers, or a cell's
     # transposed result and Haar reference, which check_moment_budget counts
@@ -700,12 +726,13 @@ def test_moment_budget_bounds_measured_peak():
     e = designs.icosahedral_group()
     for strong, t in ((False, 4), (True, 3)):
         counted = _counted_bytes(2, t, e.size, strong)
-        haar.check_moment_budget(2, t, e.size, cap=counted, strong=strong)
-        with pytest.raises(ValueError):
-            haar.check_moment_budget(2, t, e.size, cap=counted - 1, strong=strong)
-        haar.check_moment_budget(2, t, cap=16 * 2 ** (4 * t))
-        with pytest.raises(ValueError):
-            haar.check_moment_budget(2, t, cap=16 * 2 ** (4 * t) - 1)
+        for budget, n in ((counted, e.size), (16 * 2 ** (4 * t), 0)):
+            with monkeypatch.context() as mp:
+                mp.setattr(haar, "MOMENT_BYTES", budget)
+                haar.check_moment_budget(2, t, n, strong=strong)
+                mp.setattr(haar, "MOMENT_BYTES", budget - 1)
+                with pytest.raises(ValueError):
+                    haar.check_moment_budget(2, t, n, strong=strong)
         tracemalloc.start()
         try:
             designs.verify_strong_design(e, t, strong=strong, frame_potential_mode="skip")
@@ -879,7 +906,7 @@ def _nested_qudit_4_2_doc():
     base = {"kind": "ensemble", "ensemble": {"d": 4, "kind": "product", "layers": inner}}
     layers = [base]
     for lab in zonal.enumerate_sph_labels(1, 4, 2):
-        layers += [_fixed(designs.rotation_unitary(zonal.find_angles(lab).thetas, 1, 4)),
+        layers += [_fixed(designs.rotation_unitary(zonal.find_angles(lab), 1, 4)),
                    base]
     return {"d": 4, "kind": "product", "layers": layers}
 
@@ -915,15 +942,21 @@ def test_flat_qudit_4_2_samples_match_nested_reference():
     assert np.abs(e.sample(np.random.default_rng(5), 30) - ref).max() <= 1e-15
 
 
+def _qudit_2_3_product():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "TOWER_BYTES", 100)
+        return designs.build_qudit_design(2, 3)
+
+
 @pytest.mark.parametrize("build", [
     lambda: designs.build_qudit_design(5, 2),
     lambda: designs.build_qubit_circuit_design(3, 1, {
         (2, (1,)): np.array([0.1, 0.2]), (3, (1,)): np.array([0.3, 0.4, 0.5, 0.6])}),
     designs.interleaved_clifford_design,
     lambda: designs.UnitaryEnsemble(d=2, kind="product", layers=(
-        designs.EnsembleLayer(designs.build_qudit_design(2, 3, cap=100)),
+        designs.EnsembleLayer(_qudit_2_3_product()),
         designs.FixedLayer(np.eye(2, dtype=complex)),
-        designs.EnsembleLayer(designs.build_qudit_design(2, 3, cap=100)))),
+        designs.EnsembleLayer(_qudit_2_3_product()))),
 ])
 def test_product_layers_are_fixed_or_explicit(build):
     e = build()

@@ -42,21 +42,22 @@ def test_haar_frame_potential_values(d, t, expected):
 
 def test_moment_projector_small_cells():
     for d, t in [(2, 1), (2, 2), (3, 2), (2, 3)]:
-        m = haar.haar_moment_projector(d, t).matrix
+        m = haar.haar_moment_projector(d, t)
         assert np.abs(m - m.conj().T).max() < 1e-12
         assert np.abs(m @ m - m).max() < 1e-12
         vals = np.linalg.eigvalsh(m)
         assert int((vals > 0.5).sum()) == haar.haar_frame_potential(d, t)
 
 
-def test_moment_projector_cap():
+def test_moment_projector_cap(monkeypatch):
+    monkeypatch.setattr(haar, "MOMENT_BYTES", 2 ** 10)
     with pytest.raises(ValueError):
-        haar.haar_moment_projector(4, 4, cap=2 ** 10)
+        haar.haar_moment_projector(4, 4)
 
 
 def test_moment_projector_fixes_permutations():
     # Permutation operators span the commutant, so M leaves them in place.
-    m = haar.haar_moment_projector(2, 3).matrix
+    m = haar.haar_moment_projector(2, 3)
     for sigma in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]:
         vec = haar.perm_operator(sigma, 2).reshape(-1)
         assert np.abs(m @ vec - vec).max() < 1e-12
@@ -65,7 +66,7 @@ def test_moment_projector_fixes_permutations():
 def test_moment_projector_matches_sample_average(rng):
     # M applied to vec(X) equals the Haar average of U^t X (U^t)^dag in the
     # MC limit; check the projector annihilates a traceless non-invariant X.
-    m = haar.haar_moment_projector(2, 2).matrix
+    m = haar.haar_moment_projector(2, 2)
     x = np.kron(paulis.Z, paulis.Z).astype(complex)
     proj = (m @ x.reshape(-1)).reshape(4, 4)
     us = numerics.haar_unitaries(2, 20000, rng)

@@ -1,4 +1,4 @@
-"""Spherical labels, the rank-one zonal recurrence, roots, and rotation angles."""
+"""Spherical labels, the rank-one zonal recurrence, its zeros, and rotation angles."""
 
 import numpy as np
 import pytest
@@ -66,34 +66,51 @@ def test_poly_orthogonality():
 
 def test_root_interlacing():
     for d in (2, 3, 4):
-        prev = zonal._roots_in_unit_interval(1, d)
+        prev = zonal._zeros(1, d)
         for k in range(2, 7):
-            cur = zonal._roots_in_unit_interval(k, d)
+            cur = zonal._zeros(k, d)
             assert len(cur) == k
             for i in range(len(prev)):
                 assert cur[i] < prev[i] < cur[i + 1]
             prev = cur
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_zeros_solve_the_recurrence_to_rounding(d):
+    # the Jacobi matrix's eigenvalues, checked by the three-term recurrence
+    for k in range(1, 7):
+        x = zonal._zeros(k, d)
+        assert len(x) == k and 0.0 < x[0] and x[-1] < 1.0
+        assert np.abs(zonal._jacobi_shifted(k, d, x)).max() <= 1e-14, k
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_first_label_angle_is_exact(d):
+    # P_1 vanishes at x = 1/d, so theta = arccos(1/sqrt(d))
+    lab = zonal.SphericalLabel(positive_part=(1,), d1=1, d=d)
+    assert abs(zonal.find_angles(lab)[0] - np.arccos(1.0 / np.sqrt(d))) <= 1e-15
+
+
 def test_find_angles_known_values():
     lab = zonal.SphericalLabel(positive_part=(1,), d1=1, d=2)
-    sol = zonal.find_angles(lab)
-    assert abs(sol.thetas[0] - np.pi / 4) < 1e-12
+    theta = zonal.find_angles(lab)
+    assert theta.shape == (1,)
+    assert abs(theta[0] - np.pi / 4) < 1e-12
     lab2 = zonal.SphericalLabel(positive_part=(2,), d1=1, d=2)
-    sol2 = zonal.find_angles(lab2)
-    assert abs(sol2.thetas[0] - np.arccos(np.sqrt(0.788675))) < 1e-5
+    theta2 = zonal.find_angles(lab2)[0]
+    assert abs(theta2 - np.arccos(np.sqrt(0.788675))) < 1e-5
     # The angle comes from the largest root in (0, 1).
     r = (1.0 + 1.0 / np.sqrt(3.0)) / 2.0
-    assert abs(np.cos(sol2.thetas[0]) ** 2 - r) < 1e-12
+    assert abs(np.cos(theta2) ** 2 - r) < 1e-12
 
 
 def test_find_angles_root_residual():
     for k in range(1, 6):
         for d in (2, 4):
             lab = zonal.SphericalLabel(positive_part=(k,), d1=1, d=d)
-            sol = zonal.find_angles(lab)
-            assert abs(zonal._jacobi_shifted(k, d, np.cos(sol.thetas[0]) ** 2)) < 1e-12
-            assert 0.0 <= sol.thetas[0] <= np.pi / 2
+            theta = zonal.find_angles(lab)[0]
+            assert abs(zonal._jacobi_shifted(k, d, np.cos(theta) ** 2)) < 1e-12
+            assert 0.0 <= theta <= np.pi / 2
 
 
 def test_find_angles_rejects_multivariate():
@@ -110,7 +127,7 @@ def test_zonal_mc_identity():
 
 def test_zonal_mc_vanishes_at_found_angle():
     lab = zonal.SphericalLabel(positive_part=(2,), d1=1, d=2)
-    theta = zonal.find_angles(lab).thetas[0]
+    theta = zonal.find_angles(lab)[0]
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     u = np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * x
     val, se = zonal.zonal_value_mc(lab, u, samples=40000, seed=4)
