@@ -621,27 +621,20 @@ def _moment_stderr(stack: np.ndarray, r: int, s: int, mean: np.ndarray) -> float
     return float(np.sqrt(max(var, 0.0) / n))
 
 
-def frame_potential(e: UnitaryEnsemble, t: int, mode: str = "exact-pairs",
+def frame_potential(e: UnitaryEnsemble, t: int, mode: str,
                     seed: int = 0, samples: int = 10_000,
                     ) -> tuple[float, Optional[float]]:
     """Frame potential E |tr(U^dag V)|^(2t) of an ensemble.
 
-    Modes: "exact-pairs" sums every ordered pair of an explicit ensemble
-    (guarded at 1e9 pairs); "interleaved-reduced" evaluates a product
-    C V_1 C ... V_k C of whole Clifford-group layers and fixed unitaries
-    exactly in the Clifford commutant, for t <= 4; "mc" samples independent
-    pairs and reports a standard error.  Always at least the Haar value.
+    Modes: "interleaved-reduced" evaluates a product C V_1 C ... V_k C of
+    whole Clifford-group layers and fixed unitaries exactly in the Clifford
+    commutant, for t <= 4; "mc" samples independent pairs and reports a
+    standard error.  Always at least the Haar value.  An exact
+    certification takes the frame potential from its own moment
+    (verify_strong_design).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if mode == "exact-pairs":
-        if e.kind != "explicit":
-            raise ValueError("exact-pairs needs an explicit ensemble")
-        n = e.size
-        if n * n > 1_000_000_000:
-            raise ValueError("pair count exceeds 1e9; use mode='mc'")
-        flat = e.elements.reshape(n, -1)
-        return _trace_power_sum(flat.conj(), flat, t) / (n * n), None
     if mode == "interleaved-reduced":
         moment, _ = _commutant_moment(*_clifford_layers(e), t)
         return float((np.abs(moment) ** 2).sum()), None
@@ -652,17 +645,6 @@ def frame_potential(e: UnitaryEnsemble, t: int, mode: str = "exact-pairs",
         vals = np.abs(np.einsum("nab,nab->n", u.conj(), v)) ** (2 * t)
         return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _trace_power_sum(left: np.ndarray, right: np.ndarray, t: int) -> float:
-    """Sum over all row pairs (i, j) of |left_i . right_j|^(2t), one GEMM
-    tile of at most 2^22 entries at a time."""
-    total = 0.0
-    chunk = max(1, 2 ** 22 // max(len(right), 1))
-    for start in range(0, len(left), chunk):
-        tr = left[start:start + chunk] @ right.T
-        total += (np.abs(tr) ** (2 * t)).sum()
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -16,23 +16,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import channels, designs, irreps, paulis
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 
-# fitter knobs: the N_STARTS best-scoring grid starts are each refined by
-# one bounded least-squares solve of at most FIT_BUDGET residual
-# evaluations, run to SOLVER_TOL; a rate gap below GAP_TOL or a weighted
-# Jacobian whose condition number exceeds COND_TOL is reported as
-# ill-conditioned rather than trusted
+# fitter knobs: every start-grid combination is refined at once by
+# projected Levenberg-Marquardt (_refine) for at most FIT_BUDGET
+# iterations, to a relative step or chi^2 change of SOLVER_TOL; _DAMPING is
+# its damping's initial value, floor and cap, _DAMPING_STEP the factor a
+# rejected step multiplies it by, and _BEATEN how many times its last chi^2
+# decrease a start may lie above the best before it stops; a rate gap
+# below GAP_TOL or a weighted Jacobian whose condition number exceeds
+# COND_TOL is reported as ill-conditioned rather than trusted
 FIT_BUDGET = 10 ** 4
-N_STARTS = 10
 SOLVER_TOL = 1e-15
 GAP_TOL = 1e-4
 COND_TOL = 1e8
+_DAMPING = (1e-2, 1e-12, 1e16)
+_DAMPING_STEP = 10.0
+_BEATEN = 100.0
 _START_GRID = (0.05, 0.2, 0.4, 0.6, 0.75, 0.86, 0.93, 0.97, 0.99, 0.999)
 
 
@@ -501,17 +505,32 @@ def v1_approx_design(noise: channels.PTM, o_ini: np.ndarray, o_meas: np.ndarray,
     return DecayCurve(points=tuple(pts))
 
 
-def _weighted_amplitudes(ms, y, w, rates):
-    """Weighted linear least-squares amplitudes at fixed rates, with the
-    weighted design matrix and the weighted residual."""
-    xw = rates[None, :] ** ms[:, None] * w[:, None]
-    amps, *_ = np.linalg.lstsq(xw, y * w, rcond=None)
-    return amps, xw, xw @ amps - y * w
+def _design(ms, w, rates):
+    """Weighted design matrices X[..., m, k] = w_m r_k^m of a stack of rate
+    vectors (..., n)."""
+    return rates[..., None, :] ** ms[:, None] * w[:, None]
+
+
+def _project(xw, wy):
+    """Variable projection of the weighted data wy onto a stack of weighted
+    design matrices (S, M, n).
+
+    One batched SVD gives the least-squares amplitudes (S, n), orthonormal
+    bases of the column spaces (S, M, n), with the columns below lstsq's
+    rank cutoff zeroed, and the weighted residuals X a - wy (S, M).
+    """
+    u, s, vt = np.linalg.svd(xw, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(xw.shape[-2:]) * s[:, :1]
+    u = u * keep[:, None, :]
+    coef = np.einsum("smk,m->sk", u, wy)
+    amps = np.einsum("skn,sk->sn", vt, coef / np.where(keep, s, 1.0))
+    return amps, u, np.einsum("smk,sk->sm", u, coef) - wy
 
 
 def _rate_derivatives(ms, w, rates, amps):
-    """Weighted derivative of the model along each rate, one column each."""
-    return amps * ms[:, None] * rates[None, :] ** (ms[:, None] - 1) * w[:, None]
+    """Weighted derivative of the model along each rate, one column each,
+    for a rate vector (n,) or a stack of them (S, n)."""
+    return amps[..., None, :] * ms[:, None] * rates[..., None, :] ** (ms[:, None] - 1) * w[:, None]
 
 
 def _start_combinations(n_free):
@@ -520,7 +539,96 @@ def _start_combinations(n_free):
     grid = _START_GRID
     if n_free > len(grid):
         grid = tuple(np.linspace(grid[0], grid[-1], n_free))
-    return [np.array(c) for c in itertools.combinations(grid[::-1], n_free)]
+    return np.array(list(itertools.combinations(grid[::-1], n_free)))
+
+
+def _tie_level(chi2, wy):
+    """The chi^2 up to which another fit ties with chi2 at rounding level:
+    1e-9 relative plus 1e-12 ||w y||^2."""
+    return chi2 * (1.0 + 1e-9) + 1e-12 * float(wy @ wy)
+
+
+def _refine(ms, wy, w, known, starts):
+    """Refine every start (S, F) at once by projected Levenberg-Marquardt.
+
+    Each iteration forms Kaufman's Jacobian P_perp D of every running start
+    from its column basis, solves the Marquardt-scaled damped normal
+    equations of all of them in one call, clips the steps to [0, 1] and
+    evaluates all trial points in one batched projection.  A step past 0
+    goes to a tenth of the rate instead: at 0 the rate's column vanishes
+    and chi^2 jumps, so trials clipped there would be rejected while the
+    damping grows and freezes the other rates.  A rate at 1 whose gradient
+    pushes outward is held there.  The damping follows the gain ratio of
+    actual to predicted chi^2 decrease (Nielsen's rule) above the floor of
+    _DAMPING, and is multiplied by _DAMPING_STEP after a rejected step.  A
+    start stops when its step or its chi^2 change falls
+    below SOLVER_TOL (relative), when its damping passes the cap, or when
+    it is beaten: its chi^2, less _BEATEN times its last decrease, lies
+    above the tie level of the lowest chi^2 reached.  Returns the final free
+    rates and chi^2, the starts' own chi^2 (their scores), which starts
+    still ran after FIT_BUDGET iterations, and the number of chi^2
+    evaluations.
+    """
+    n_starts, n_free = starts.shape
+    lam0, floor, cap = _DAMPING
+
+    def evaluate(x):
+        rates = np.concatenate([np.broadcast_to(known, (len(x), known.size)), x], axis=1)
+        amps, basis, res = _project(_design(ms, w, rates), wy)
+        return amps[:, known.size:], basis, res, np.einsum("sm,sm->s", res, res)
+
+    x = starts.astype(float)
+    amps, basis, res, chi2 = evaluate(x)
+    scores = chi2.copy()
+    final_x, final_chi2 = x.copy(), chi2.copy()
+    running = np.ones(n_starts, dtype=bool)
+    live = np.arange(n_starts)
+    lam = np.full(n_starts, lam0)
+    gain = np.full(n_starts, np.inf)
+    nfev = n_starts
+    for _ in range(FIT_BUDGET):
+        if live.size == 0:
+            break
+        jac = _rate_derivatives(ms, w, x, amps)
+        jac -= basis @ (basis.transpose(0, 2, 1) @ jac)
+        grad = np.einsum("smf,sm->sf", jac, res)
+        hess = jac.transpose(0, 2, 1) @ jac
+        diag = np.einsum("sff->sf", hess)
+        held = ((x >= 1.0) & (grad < 0.0)) | (diag <= 0.0)
+        scale = np.where(held, 0.0, 1.0 / np.sqrt(np.where(held, 1.0, diag)))
+        system = hess * scale[:, :, None] * scale[:, None, :] + lam[:, None, None] * np.eye(n_free)
+        step = -scale * np.linalg.solve(system, (grad * scale)[:, :, None])[:, :, 0]
+        trial = np.where(x + step < 0.0, 0.1 * x, np.minimum(x + step, 1.0))
+        step = trial - x
+        t_amps, t_basis, t_res, t_chi2 = evaluate(trial)
+        nfev += live.size
+        drop = chi2 - t_chi2
+        better = drop > 0.0
+        # chi^2 decrease that the linearised residual r + J step predicts
+        pred = -np.einsum("sf,sf->s", step, 2.0 * grad + np.einsum("sfg,sg->sf", hess, step))
+        rho = np.where(pred > 0.0, drop / np.where(pred > 0.0, pred, 1.0), 0.0)
+        lam = np.where(better, np.maximum(lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), floor),
+                       lam * _DAMPING_STEP)
+        gain = np.where(better, drop, gain)
+        small = np.sqrt(np.einsum("sf,sf->s", step, step)) <= SOLVER_TOL * (
+            SOLVER_TOL + np.sqrt(np.einsum("sf,sf->s", x, x)))
+        x = np.where(better[:, None], trial, x)
+        amps = np.where(better[:, None], t_amps, amps)
+        basis = np.where(better[:, None, None], t_basis, basis)
+        res = np.where(better[:, None], t_res, res)
+        chi2 = np.where(better, t_chi2, chi2)
+        tie = _tie_level(min(chi2.min(), final_chi2[~running].min(initial=np.inf)), wy)
+        done = (small | (np.abs(drop) <= SOLVER_TOL * chi2) | (lam > cap)
+                | (chi2 - _BEATEN * gain > tie))
+        if done.any():
+            final_x[live[done]], final_chi2[live[done]] = x[done], chi2[done]
+            running[live[done]] = False
+            keep = ~done
+            live, x, amps, basis, res, chi2, lam, gain = (
+                live[keep], x[keep], amps[keep], basis[keep], res[keep], chi2[keep],
+                lam[keep], gain[keep])
+    final_x[live], final_chi2[live] = x, chi2
+    return final_x, final_chi2, scores, running, nfev
 
 
 def fit_exponentials(curve: DecayCurve, n_terms: int,
@@ -530,14 +638,15 @@ def fit_exponentials(curve: DecayCurve, n_terms: int,
     Variable projection (Golub & Pereyra, Inverse Problems 19 (2003) R1):
     the amplitudes are solved by weighted linear least squares inside the
     residual, so only the free rates are searched.  Every combination of
-    distinct start-grid rates is scored by its chi^2; the best N_STARTS are
-    each refined by one bounded trust-region least-squares solve with
-    Kaufman's Jacobian, and the solve with the lowest chi^2 wins.  Pinned
-    rates come first in the returned tuple; free rates follow, sorted in
-    decreasing order.
+    distinct start-grid rates is scored by its chi^2 and refined, all at
+    once, by projected Levenberg-Marquardt with Kaufman's Jacobian
+    (_refine).  The lowest chi^2 wins; a tie at rounding level, chi^2 within
+    1e-9 relative plus 1e-12 ||w y||^2 of the lowest, goes to the
+    best-scored start.  Pinned rates come first in the returned tuple; free
+    rates follow, sorted in decreasing order.
 
-    Flags: "non_converged" when the winning solve used all FIT_BUDGET of
-    its residual evaluations; "ill_conditioned" when two rates lie closer
+    Flags: "non_converged" when the winning start was still running after
+    FIT_BUDGET iterations; "ill_conditioned" when two rates lie closer
     than GAP_TOL or the condition number of the weighted Jacobian exceeds
     COND_TOL, which a term the data cannot identify (one whose amplitude
     vanishes or whose rate is near 0) causes.  n_evaluations counts chi^2
@@ -557,35 +666,22 @@ def fit_exponentials(curve: DecayCurve, n_terms: int,
     se = curve.stderrs
     weighted = bool(np.all(se > 0))
     w = 1.0 / se if weighted else np.ones_like(y)
+    wy = y * w
 
     flags = []
     nfev = 0
     free = np.empty(0)
     if n_free > 0:
-        def resid(x):
-            return _weighted_amplitudes(ms, y, w, np.concatenate([known, x]))[2]
-
-        def jac(x):
-            # the free rates' derivative columns projected onto the
-            # orthogonal complement of the design matrix's column space
-            amps, xw, _ = _weighted_amplitudes(ms, y, w, np.concatenate([known, x]))
-            cols = _rate_derivatives(ms, w, x, amps[n_known:])
-            return cols - xw @ np.linalg.lstsq(xw, cols, rcond=None)[0]
-
-        starts = _start_combinations(n_free)
-        scores = [float(r @ r) for r in map(resid, starts)]
-        sols = [least_squares(resid, starts[i], jac=jac, bounds=(0.0, 1.0),
-                              method="trf", max_nfev=FIT_BUDGET,
-                              ftol=SOLVER_TOL, xtol=SOLVER_TOL, gtol=SOLVER_TOL)
-                for i in np.argsort(scores, kind="stable")[:N_STARTS]]
-        nfev = len(starts) + sum(sol.nfev for sol in sols)
-        best = min(sols, key=lambda sol: sol.cost)
-        free = np.sort(best.x)[::-1]
-        if best.status == 0:
+        x, chi2, scores, running, nfev = _refine(ms, wy, w, known, _start_combinations(n_free))
+        order = np.argsort(scores, kind="stable")
+        best = order[np.argmax(chi2[order] <= _tie_level(chi2.min(), wy))]
+        free = np.sort(x[best])[::-1]
+        if running[best]:
             flags.append("non_converged")
 
     rates = np.concatenate([known, free])
-    amps, xw, res = _weighted_amplitudes(ms, y, w, rates)
+    xw = _design(ms, w, rates)
+    amps, _, res = (a[0] for a in _project(xw[None], wy))
     rss = float(res @ res)
 
     # weighted Jacobian in (amplitudes, free rates) order, for the

@@ -10,13 +10,6 @@ The zeros are the eigenvalues of the recurrence's symmetric tridiagonal
 Jacobi matrix (Golub & Welsch), exact to rounding, with no root search;
 :func:`_jacobi_shifted` evaluates the polynomial itself by the three-term
 recurrence, an independent check of them.
-
-A Monte Carlo estimator (:func:`zonal_value_mc`) provides an independent
-definition that never touches the Jacobi recurrence: matrix coefficients of
-inequivalent irreps are orthogonal over the group, so the degree-k polynomial
-orthogonal to all lower monomials under the Haar distribution of x, scaled to
-1 at x = 1, is the zonal function.  The estimator builds that polynomial from
-sampled Haar moments of x and evaluates it.
 """
 
 from __future__ import annotations
@@ -25,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-from . import numerics
 
 
 @dataclass(frozen=True)
@@ -126,47 +117,6 @@ def find_angles(label: SphericalLabel) -> np.ndarray:
         raise ValueError("find_angles supports d1 = 1 only; supply external angle tables")
     x_star = _zeros(label.positive_part[0], label.d)[-1]
     return np.array([np.arccos(np.sqrt(x_star))])
-
-
-def zonal_value_mc(label: SphericalLabel, u: np.ndarray, samples: int = 200_000,
-                   seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo estimate of the zonal function at a unitary, with stderr.
-
-    Estimates the Haar moments of the double-coset invariant
-    x(V) = |V[0,0]|^2, builds the degree-k polynomial orthogonal to all lower
-    monomials under the sampled measure (the zonal function, by orthogonality
-    of inequivalent matrix coefficients), normalizes it at x = 1 and
-    evaluates at x(u).  Estimate and stderr come from 20 sample batches.
-    """
-    if label.d1 != 1:
-        raise ValueError("zonal_value_mc supports d1 = 1 only")
-    k = label.positive_part[0]
-    d = label.d
-    u = np.asarray(u)
-    if u.shape != (d, d):
-        raise ValueError(f"unitary must be {d} x {d}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-10:
-        raise ValueError("input is not unitary")
-    x_u = float(np.abs(u[0, 0]) ** 2)
-    n_batches = 20
-    per = max(samples // n_batches, 4 * (k + 1))
-    rng = np.random.default_rng(seed)
-    estimates = np.empty(n_batches)
-    for b in range(n_batches):
-        vs = numerics.haar_unitaries(d, per, rng)
-        xs = np.abs(vs[:, 0, 0]) ** 2
-        powers = xs[None, :] ** np.arange(2 * k + 1)[:, None]
-        moments = powers.mean(axis=1)
-        hankel = np.empty((k, k))
-        for i in range(k):
-            hankel[i] = moments[i:i + k]
-        rhs = -moments[k:2 * k]
-        lower = np.linalg.solve(hankel, rhs)
-        coeffs = np.concatenate([lower, [1.0]])
-        estimates[b] = np.polynomial.polynomial.polyval(x_u, coeffs) / coeffs.sum()
-    value = float(estimates.mean())
-    stderr = float(estimates.std(ddof=1) / np.sqrt(n_batches))
-    return value, stderr
 
 
 def gate_count_estimate(n_qubits: int, t: int) -> float:

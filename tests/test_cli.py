@@ -469,9 +469,9 @@ def test_threads_flag_sets_env(tmp_path, monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "1"
 
 
-def _main_in_fresh_process(cwd, *argv):
-    """exactrb's CLI in a process of its own, so --threads reaches the BLAS
-    pool before numpy loads it."""
+def _python_in_fresh_process(cwd, code, *argv):
+    """A Python snippet in a process of its own that imports this exactrb,
+    with no thread-count variables set."""
     import os
     import subprocess
     import sys
@@ -481,9 +481,23 @@ def _main_in_fresh_process(cwd, *argv):
            if k not in cli._THREAD_ENV and k != "EXACTRB_THREADS"}
     src = os.path.dirname(os.path.dirname(os.path.abspath(exactrb.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", "import sys; from exactrb.cli import main; sys.exit(main())",
-         *argv], cwd=cwd, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def _main_in_fresh_process(cwd, *argv):
+    """exactrb's CLI in a process of its own, so --threads reaches the BLAS
+    pool before numpy loads it."""
+    return _python_in_fresh_process(
+        cwd, "import sys; from exactrb.cli import main; sys.exit(main())", *argv)
+
+
+def test_imports_leave_out_scipy_optimize(tmp_path):
+    # the fitter is numpy only; scipy.optimize costs every process ~0.2 s
+    proc = _python_in_fresh_process(
+        tmp_path, "import sys, exactrb.cli, exactrb.rb; "
+        "sys.exit('scipy.optimize' in sys.modules)")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_sampled_verify_report_independent_of_threads(tmp_path):

@@ -149,6 +149,28 @@ def _reference_moment_stderr(stack, r, s, mean):
     return float(np.sqrt(var.sum() / n))
 
 
+# The ordered-pair sum that frame_potential's former "exact-pairs" mode
+# evaluated, kept as the reference for the exact and commutant frame
+# potentials.
+
+def _trace_power_sum(left, right, t):
+    """Sum over all row pairs (i, j) of |left_i . right_j|^(2t), one GEMM
+    tile of at most 2^22 entries at a time."""
+    total = 0.0
+    chunk = max(1, 2 ** 22 // max(len(right), 1))
+    for start in range(0, len(left), chunk):
+        tr = left[start:start + chunk] @ right.T
+        total += (np.abs(tr) ** (2 * t)).sum()
+    return total
+
+
+def _pair_frame_potential(e, t):
+    """E |tr(U^dag V)|^(2t) over every ordered pair of an explicit ensemble."""
+    n = e.size
+    flat = e.elements.reshape(n, -1)
+    return _trace_power_sum(flat.conj(), flat, t) / (n * n)
+
+
 # The pair sum that frame_potential(mode="interleaved-reduced") evaluated
 # before the Clifford commutant kernel, kept verbatim as its reference:
 # (1/|C|^2) sum |tr(Uc^dag C Uc C')|^(2t) over a three-layer product C Uc C.
@@ -159,7 +181,7 @@ def _reference_interleaved_pairs(e, t):
     n = group.shape[0]
     conj_flat = np.einsum("ba,nbc,cd->nad", uc.conj().T, group, uc).reshape(n, -1)
     right_flat = group.transpose(0, 2, 1).reshape(n, -1)
-    return designs._trace_power_sum(conj_flat, right_flat, t) / (n * n)
+    return _trace_power_sum(conj_flat, right_flat, t) / (n * n)
 
 
 def _clifford_layered(group, *fixed):
@@ -499,7 +521,7 @@ def test_exact_report_frame_potential_equals_pair_sum(build, t):
     e = build()
     assert e.kind == "explicit" and e.size <= 2000
     report = designs.verify_strong_design(e, t, strong=False)
-    pairs, _ = designs.frame_potential(e, t, mode="exact-pairs")
+    pairs = _pair_frame_potential(e, t)
     assert report.frame_potential_stderr is None
     assert abs(report.frame_potential - pairs) <= 1e-12
 
@@ -514,7 +536,7 @@ def test_clifford_group_sizes():
 
 def test_clifford_one_qubit_is_not_four_design():
     c1 = designs.clifford_group(1)
-    fp, _ = designs.frame_potential(c1, 4)
+    fp = _pair_frame_potential(c1, 4)
     assert fp > haar.haar_frame_potential(2, 4) + 0.5
 
 
@@ -526,7 +548,7 @@ def test_uc_unitary_is_unitary():
 
 def test_frame_potential_modes_agree(rng):
     e = designs.icosahedral_group()
-    exact, _ = designs.frame_potential(e, 2, mode="exact-pairs")
+    exact = _pair_frame_potential(e, 2)
     mc, se = designs.frame_potential(e, 2, mode="mc", seed=9, samples=20000)
     assert abs(mc - exact) < 4 * se
 
@@ -536,7 +558,7 @@ def test_frame_potential_reduced_mode_matches_pairs():
     # layer alone: the commutant frame potential equals the plain pair sum
     # of the Clifford group.
     c1 = designs.clifford_group(1)
-    pairs, _ = designs.frame_potential(c1, 4, mode="exact-pairs")
+    pairs = _pair_frame_potential(c1, 4)
     for prod in (_clifford_layered(c1, np.eye(2, dtype=complex)), _clifford_layered(c1)):
         red, _ = designs.frame_potential(prod, 4, mode="interleaved-reduced")
         assert abs(red - pairs) < 1e-9
