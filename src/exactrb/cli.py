@@ -263,6 +263,7 @@ def cmd_rb(args, argv) -> int:
                 curves[name] = rb.v2_exact(noise, o_ini, o_meas, m_list, pset,
                                            noisy_inverse=False)
     else:
+        tables = {}  # the curves share the design's M table, when it has one
         try:
             for k, (name, t_order, ini, meas) in enumerate(settings):
                 rcfg = rb.RBConfig(
@@ -271,7 +272,7 @@ def cmd_rb(args, argv) -> int:
                     n_shots=n_shots, seed=_curve_seed(seed, k),
                     o_ini=paulis.named_operator(ini),
                     o_meas=paulis.named_operator(meas), spam=spam)
-                curves[name] = rb.v_t_monte_carlo(rcfg)
+                curves[name] = rb.v_t_monte_carlo(rcfg, tables)
         except ValueError as exc:
             print("bad rb config: %s" % exc, file=sys.stderr)
             return EXIT_USAGE

@@ -161,25 +161,49 @@ class UnitaryEnsemble:
         return sub == target
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n elements uniformly as an (n, d, d) stack."""
-        if self.kind == "explicit":
-            idx = rng.integers(self.elements.shape[0], size=n)
-            return self.elements[idx]
-        out = np.broadcast_to(np.eye(self.d, dtype=complex), (n, self.d, self.d)).copy()
-        for layer in self.layers:
-            k = _layer_side(layer)
-            block = slice(layer.offset, layer.offset + k)
-            if isinstance(layer, FixedLayer):
-                out[:, :, block] = out[:, :, block] @ layer.matrix
-            elif k == self.d:
-                out = np.einsum("nab,nbc->nac", out, layer.ensemble.sample(rng, n))
-            else:
-                # the same sums over b in the same order, twice as fast on a
-                # narrow block with its columns stored as rows (a innermost)
-                rows = np.ascontiguousarray(out[:, :, block].transpose(0, 2, 1))
-                out[:, :, block] = np.einsum(
-                    "nba,nbc->nca", rows, layer.ensemble.sample(rng, n)).transpose(0, 2, 1)
-        return out
+        """Draw n elements uniformly as an (n, d, d) stack: the one-stream
+        case of sample_streams."""
+        return sample_streams(self, [rng], n)[0]
+
+
+def sample_streams(e: UnitaryEnsemble, rngs: Sequence[np.random.Generator],
+                   n: int) -> np.ndarray:
+    """Draw n elements of e from each stream, as a (streams, n, d, d) stack.
+
+    Each stream draws its indices first, one array of n per stack layer in
+    layer order.  Then each layer is gathered and multiplied into the whole
+    stack at once, by an einsum or a stacked matmul that treats every
+    element on its own, so a stream's slice holds the same bits as a draw
+    of that stream alone.
+    """
+    if e.kind == "explicit":
+        return e.elements[np.array([rng.integers(e.size, size=n) for rng in rngs])]
+    stacks = [x.ensemble for x in e.layers if isinstance(x, EnsembleLayer)]
+    idx = np.array([[rng.integers(s.size, size=n) for s in stacks] for rng in rngs])
+    draws = iter(idx.transpose(1, 0, 2).reshape(len(stacks), -1))
+    layers = e.layers
+    if layers and isinstance(layers[0], EnsembleLayer) and layers[0].ensemble.d == e.d:
+        # the einsum of the identity with a draw is the draw with every zero
+        # part made +0, as adding 0 makes it
+        out = layers[0].ensemble.elements[next(draws)]
+        out += 0.0
+        layers = layers[1:]
+    else:
+        out = np.broadcast_to(np.eye(e.d, dtype=complex), (len(rngs) * n, e.d, e.d)).copy()
+    for layer in layers:
+        k = _layer_side(layer)
+        block = slice(layer.offset, layer.offset + k)
+        if isinstance(layer, FixedLayer):
+            out[:, :, block] = out[:, :, block] @ layer.matrix
+        elif k == e.d:
+            out = np.einsum("nab,nbc->nac", out, layer.ensemble.elements[next(draws)])
+        else:
+            # the same sums over b in the same order, twice as fast on a
+            # narrow block with its columns stored as rows (a innermost)
+            rows = np.ascontiguousarray(out[:, :, block].transpose(0, 2, 1))
+            out[:, :, block] = np.einsum(
+                "nba,nbc->nca", rows, layer.ensemble.elements[next(draws)]).transpose(0, 2, 1)
+    return out.reshape(len(rngs), n, e.d, e.d)
 
 
 def _layer_side(layer: Layer) -> int:

@@ -214,36 +214,23 @@ class EstimatedMetrics:
     alpha_norm_sq: float
 
 
-def _batch_ptms(us: np.ndarray) -> np.ndarray:
-    """Pauli transfer matrices of a stack of unitaries, in one pass.
-
-    channels.transfer_matrices gives a complex array whose imaginary part
-    is rounding-level, not zero; this is its real part, a strided view,
-    which numpy's matmul multiplies in its own loop rather than through
-    BLAS.  The engine keeps that layout for gathered gates, by indexing
-    the complex array and taking the real part, so a sequence gets the
-    same bits in a batch as alone.
-    """
-    return channels.transfer_matrices(us).real
-
-
 # Memory budget of one block of Monte Carlo sequences, and of a group
-# design's M table.  The block size depends only on (m, d, n_sequences) and
-# on whether a table is used, so reruns split the work identically.
+# design's M table.  The block size depends only on the config, m and
+# whether a table is used, so reruns split the work identically; a
+# sequence's values do not depend on it.
 BLOCK_BYTES = 32 * 2 ** 20
 # outcome probabilities below this are not rounding error: the noise is
 # not completely positive
 NEG_PROB_TOL = 1e-9
 
 
-def _block_size(m: int, d: int, n: int, table: bool) -> int:
+def _block_size(rt: _Runtime, m: int, n: int, table: bool) -> int:
     if table:
         # m element indices, plus one gathered real M per step
-        per_sequence = m * 8 + 8 * d ** 4
+        per_sequence = m * 8 + 8 * rt.d ** 4
     else:
-        # m sampled unitaries, and the two complex PTM-sized arrays
-        # that channels.transfer_matrices holds at its peak
-        per_sequence = m * (16 * d ** 2 + 32 * d ** 4)
+        # the m sampled gates and the density matrices (see _Runtime)
+        per_sequence = m * rt.gate_bytes + rt.state_bytes
     return max(1, min(n, BLOCK_BYTES // per_sequence))
 
 
@@ -278,15 +265,17 @@ class _Runtime:
     BLOCK_BYTES, and the length's sequences draw at least as many gates as
     the group has elements.  The choice rests on that length alone, so the
     values at one length do not depend on which other lengths run.  Any
-    other length is propagated physically: the sampled gates' PTMs are
-    computed per block.
+    other length is propagated physically, as density matrices.
+
+    tables holds the M tables built so far by (design object, noise), so
+    that the curves of one run share them; a new dict when None.
     """
 
-    def __init__(self, config: RBConfig):
+    def __init__(self, config: RBConfig, tables: dict | None = None):
         self.design = config.design
-        self.d = config.design.d
+        self.d = d = config.design.d
         self.noise_mat = config.noise.matrix
-        self._table = None
+        self._tables = {} if tables is None else tables
 
         # initial operator as a weighted sum of eigenstate preparations
         w, vecs = np.linalg.eigh(config.o_ini)
@@ -299,6 +288,27 @@ class _Runtime:
         self.prep_vecs = np.array(preps).T  # (d^2, n_prep)
         if config.spam is not None:
             self.prep_vecs = config.spam.prep_matrix() @ self.prep_vecs
+
+        # the physical path's density matrices, as row-major vec(rho) = W c
+        # for Pauli coordinates c; the noise acts on vec(rho) as the
+        # superoperator W N W^dag, applied from the right as its transpose
+        w = paulis.vec_basis_matrix(d)
+        self.prep_rhos = (self.prep_vecs.T @ w.T).reshape(-1, d, d)
+        self.noise_super_t = (w @ self.noise_mat @ w.conj().T).T.copy()
+        self.to_pauli = w.conj()  # vec(rho)^T conj(W) = (W^dag vec(rho))^T
+        # bytes a sequence holds on the physical path, per sampled gate: at
+        # most 4 d^2 complex entries in sample_streams (the running product,
+        # and a layer of side k's gathered stack, its columns as rows and the
+        # einsum's output), or one gathered stack of an explicit design, and
+        # two int64 indices per stack layer; and for the states: n_prep
+        # density matrices with up to three temporaries of them in a step,
+        # plus the running product, its successor and one gate's adjoint
+        if self.design.kind == "explicit":
+            self.gate_bytes = 16 * d * d + 8
+        else:
+            stacks = sum(isinstance(x, designs.EnsembleLayer) for x in self.design.layers)
+            self.gate_bytes = 64 * d * d + 16 * stacks
+        self.state_bytes = 64 * len(self.prep_weights) * d * d + 48 * d * d
 
         # measurement eigenbasis; bit k = k-th eigenvector by decreasing
         # overlap with |0...0>
@@ -317,14 +327,30 @@ class _Runtime:
     def table_for(self, draws: int) -> np.ndarray | None:
         """The M table (_m_table) for a length that draws `draws` gates, or
         None for physical propagation.  The group check runs only when the
-        table would pay, and the table is built once."""
+        table would pay, and the table is built once per tables dict."""
         design = self.design
         if not (design.kind == "explicit" and design.size <= draws
                 and design.size * 8 * self.d ** 4 <= BLOCK_BYTES and design.is_group):
             return None
-        if self._table is None:
-            self._table = _m_table(design, self.noise_mat)
-        return self._table
+        # the entry holds the design, so its id is not reused while it lives
+        key = (id(design), self.noise_mat.tobytes())
+        if key not in self._tables:
+            self._tables[key] = (design, _m_table(design, self.noise_mat))
+        return self._tables[key][1]
+
+
+def _conjugate(rho: np.ndarray, gh: np.ndarray) -> np.ndarray:
+    """g rho g^dag for a stack of Hermitian rho (block, n_prep, d, d), given
+    the stack gh = g^dag (block, d, d).
+
+    Computed as (rho g^dag)^dag g^dag, so that both products stack one
+    sequence's n_prep states as rows: one GEMM per sequence each.  This is
+    g rho^dag g^dag, which differs from g rho g^dag at rounding level, as
+    much as rho differs from its adjoint.
+    """
+    b, p, d, _ = rho.shape
+    z = (rho.reshape(b, p * d, d) @ gh).reshape(b, p, d, d)
+    return (z.conj().transpose(0, 1, 3, 2).reshape(b, p * d, d) @ gh).reshape(b, p, d, d)
 
 
 def _run_block(config: RBConfig, rt: _Runtime, table: np.ndarray | None, m: int,
@@ -345,17 +371,22 @@ def _run_block(config: RBConfig, rt: _Runtime, table: np.ndarray | None, m: int,
         for k in range(m):
             state = table.take(idx[k], axis=0) @ state
     else:
-        # for an explicit design, sample draws the same indices
+        # for an explicit design, sample_streams draws the same indices.
+        # Every product below is a stacked matmul over one sequence's
+        # slices, whose rows are counted by d or n_prep, never by the block,
+        # so a sequence has the same bits in any block.
         d, b = rt.d, len(rngs)
-        units = np.concatenate([config.design.sample(rng, m) for rng in rngs])
-        ptms = channels.transfer_matrices(units).reshape(b, m, d * d, d * d)
-        units = units.reshape(b, m, d, d)
+        units = designs.sample_streams(config.design, rngs, m)
+        rho = np.broadcast_to(rt.prep_rhos, (b, *rt.prep_rhos.shape))
         prod = units[:, 0]
         for k in range(m):
+            g = units[:, k]
             if k:
-                prod = units[:, k] @ prod
-            state = rt.noise_mat @ (ptms[:, k].real @ state)
-        state = _batch_ptms(prod.conj().transpose(0, 2, 1)) @ state
+                prod = g @ prod
+            rho = _conjugate(rho, g.conj().transpose(0, 2, 1))
+            rho = (rho.reshape(b, -1, d * d) @ rt.noise_super_t).reshape(rho.shape)
+        rho = _conjugate(rho, prod)
+        state = (rho.reshape(b, -1, d * d) @ rt.to_pauli).real.transpose(0, 2, 1)
     state = rt.noise_mat @ state
 
     probs = rt.outcome_projs @ state  # (block, d outcomes, n_prep)
@@ -378,7 +409,9 @@ def _run_block(config: RBConfig, rt: _Runtime, table: np.ndarray | None, m: int,
             for p in range(probs.shape[2]):
                 counts = rng.multinomial(config.n_shots, probs[j, :, p])
                 means[j, p] = (rt.outcome_values @ counts) / config.n_shots
-    return means @ rt.prep_weights
+    # a fixed-order sum per row: a matrix-vector product would round by
+    # the block's row count
+    return (means * rt.prep_weights).sum(axis=1)
 
 
 def _jackknife_stderr(x: np.ndarray) -> float:
@@ -387,7 +420,7 @@ def _jackknife_stderr(x: np.ndarray) -> float:
     return math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum())
 
 
-def v_t_monte_carlo(config: RBConfig) -> DecayCurve:
+def v_t_monte_carlo(config: RBConfig, tables: dict | None = None) -> DecayCurve:
     """Estimate V^(t)(m) = E[<O>^t] over random sequences.
 
     A sequence is m random gates plus the noisy inverse of their product;
@@ -398,9 +431,9 @@ def v_t_monte_carlo(config: RBConfig) -> DecayCurve:
     (the difference-before-squaring form when o_ini is a state pair).
     Each (m, sequence index) pair gets its own counter-based stream, so
     results are bit-identical for a given seed regardless of evaluation
-    order or thread count.  All sequences of one length advance together,
-    in blocks whose size follows from BLOCK_BYTES and (m, d, n_sequences)
-    alone, which bounds memory for long two-qubit runs.
+    order, block size or thread count.  All sequences of one length
+    advance together, in blocks whose size follows from BLOCK_BYTES, the
+    config and m alone, which bounds memory for long two-qubit runs.
 
     Two paths, chosen per length from the design and n_sequences * m alone
     (see _Runtime): on a checked group whose M table fits BLOCK_BYTES and
@@ -408,21 +441,25 @@ def v_t_monte_carlo(config: RBConfig) -> DecayCurve:
     i.i.d. uniform on the group, and each step applies one gathered
     M_h = L_h^T N L_h, with one final N and no inverse step; every other
     length, non-group explicit design and product design is propagated
-    physically, its sampled gates' PTMs computed per block.  Both give the
+    physically: the block's gates are drawn by designs.sample_streams, and
+    each step takes the density matrices to g rho g^dag and applies the
+    noise as the superoperator W N W^dag on vec(rho); the running product
+    P gives the inverse step P^dag rho P and one final N.  Both give the
     same estimator distribution; group lengths agree with physical
     propagation of the gates g_k = h_k h_(k-1)^dag at rounding level, not
-    bit for bit, and reruns are bit-identical on both paths.  Raises
-    ValueError naming m and the sequence index when an outcome
-    probability is negative beyond rounding (noise that is not completely
-    positive).
+    bit for bit, and reruns are bit-identical on both paths.  tables, a
+    dict the caller keeps for one run, lets the curves of that run share
+    their M tables.  Raises ValueError naming m and the sequence index
+    when an outcome probability is negative beyond rounding (noise that is
+    not completely positive).
     """
     n = config.n_sequences
-    rt = _Runtime(config)
+    rt = _Runtime(config, tables)
     pts = []
     for m in config.sequence_lengths:
         vals = np.empty(n)
         table = rt.table_for(n * m)
-        size = _block_size(m, rt.d, n, table is not None)
+        size = _block_size(rt, m, n, table is not None)
         for start in range(0, n, size):
             stop = min(start + size, n)
             rngs = [_stream(config.seed, m, i) for i in range(start, stop)]

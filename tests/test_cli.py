@@ -250,6 +250,29 @@ def test_rb_mc_2q_interleaved(tmp_path):
     assert {k for k in manifest_a if manifest_a[k] != manifest_b[k]} <= {"wall_clock"}
 
 
+def test_rb_builds_one_m_table_per_run(tmp_path, monkeypatch):
+    # the four curves of a 2q run on the two-qubit Clifford group share one
+    # design and one noise, so they share one M table; 240 sequences draw
+    # the group's 11,520 elements at the lengths from 48 on
+    built = []
+
+    def counted(design, noise_mat):
+        built.append(design.size)
+        return table(design, noise_mat)
+
+    table = rb._m_table
+    monkeypatch.setattr(rb, "_m_table", counted)
+    cfg = tmp_path / "rb.json"
+    write_rb_config(str(cfg), pipeline="2q",
+                    noise={"model": "noise2", "p": 0.02, "q": 0.9},
+                    design={"type": "clifford", "q": 2},
+                    sequence_lengths=[1, 2, 4, 8, 16, 32, 48, 64, 96], n_sequences=240,
+                    n_shots=0)
+    code = run("rb", "--config", str(cfg), "--mode", "mc", "--out-dir", str(tmp_path / "out"))
+    assert code in (cli.EXIT_PASS, cli.EXIT_FAIL)
+    assert built == [11520]
+
+
 def test_curve_seeds_distinct():
     # Every (master seed, setting index) pair gets its own curve seed; the
     # name-sum offsets this replaced gave v1 at seed s + 1 the streams of
@@ -521,7 +544,7 @@ def test_sampled_verify_report_independent_of_threads(tmp_path):
 
 def test_mc_curves_independent_of_threads(tmp_path):
     # v_t_monte_carlo promises curves that do not depend on the BLAS thread
-    # count: every PTM is its own pair of small GEMMs
+    # count: every product of a sequence is a small GEMM of its own
     cfg = tmp_path / "rb2q.json"
     cfg.write_text(json.dumps({
         "pipeline": "2q", "noise": {"model": "noise2", "p": 0.02, "q": 0.9},

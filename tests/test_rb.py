@@ -117,10 +117,15 @@ def test_decay_curve_rejects_unsorted_lengths():
 # exact curves against brute force
 
 
+def ptms(us):
+    """Real Pauli transfer matrices of a stack of unitaries."""
+    return channels.transfer_matrices(us).real
+
+
 def brute_force_v(noise, o_ini, o_meas, m, t):
     """Average of <O>^t over every sequence of the icosahedral design."""
     e = ico()
-    ls = rb._batch_ptms(e.elements)
+    ls = ptms(e.elements)
     iv = paulis.to_basis_vec(o_ini).real
     ov = paulis.to_basis_vec(o_meas).real
     le = noise.matrix
@@ -133,7 +138,7 @@ def brute_force_v(noise, o_ini, o_meas, m, t):
         for i in idx:
             state = le @ (ls[i] @ state)
             prod = e.elements[i] @ prod
-        linv = rb._batch_ptms(prod.conj().T[None])[0]
+        linv = ptms(prod.conj().T[None])[0]
         state = le @ (linv @ state)
         total += float(ov @ state) ** t
     return total / len(idx_sets)
@@ -278,26 +283,19 @@ def test_non_cp_noise_fails_fast():
 # the batched engine against a per-sequence reference
 
 
-def reference_sequence(config, m, rng, rt, group=False):
-    """One sequence, gate by gate: the engine's arithmetic without batching.
-
-    With group, the drawn elements are the running products h_k = g_k ...
-    g_1 of a group design, as the engine's M table reads them, and the
-    physical gates g_k = h_k h_(k-1)^dag are propagated.
-    """
+def sequence_gates(config, m, rng, group):
+    """A sequence's m gates; with group, the drawn elements are the running
+    products h_k = g_k ... g_1 of a group design, as the engine's M table
+    reads them, and the physical gates g_k = h_k h_(k-1)^dag are returned."""
     us = config.design.sample(rng, m)
     if group:
         prev = np.concatenate([np.eye(config.design.d, dtype=complex)[None], us[:-1]])
         us = us @ prev.conj().transpose(0, 2, 1)
-    ls = rb._batch_ptms(us)
-    prod = us[0]
-    for i in range(1, m):
-        prod = us[i] @ prod
-    linv = rb._batch_ptms(prod.conj().T[None, :, :])[0]
-    state = rt.prep_vecs.copy()
-    for i in range(m):
-        state = rt.noise_mat @ (ls[i] @ state)
-    state = rt.noise_mat @ (linv @ state)
+    return us
+
+
+def measure(config, rt, state, rng):
+    """A sequence's value from its final Pauli coordinates (d^2, n_prep)."""
     probs = rt.outcome_projs @ state
     if rt.readout is not None:
         probs = rt.readout @ probs
@@ -310,10 +308,52 @@ def reference_sequence(config, m, rng, rt, group=False):
         for j in range(probs.shape[1]):
             counts = rng.multinomial(config.n_shots, probs[:, j])
             means[j] = (rt.outcome_values @ counts) / config.n_shots
-    return float(rt.prep_weights @ means)
+    return float((means * rt.prep_weights).sum())
 
 
-def reference_v_t(config, group_lengths=()):
+def conjugate(rho, gh):
+    """g rho g^dag of one sequence's states (n_prep, d, d), given g^dag, as
+    (rho g^dag)^dag g^dag."""
+    p, d, _ = rho.shape
+    z = (rho.reshape(p * d, d) @ gh).reshape(p, d, d)
+    return (z.conj().transpose(0, 2, 1).reshape(p * d, d) @ gh).reshape(p, d, d)
+
+
+def reference_sequence(config, m, rng, rt, group=False):
+    """One sequence, gate by gate: the engine's density-matrix arithmetic
+    without batching."""
+    us = sequence_gates(config, m, rng, group)
+    d, p = config.design.d, len(rt.prep_weights)
+    rho = rt.prep_rhos
+    prod = us[0]
+    for i in range(m):
+        if i:
+            prod = us[i] @ prod
+        rho = conjugate(rho, us[i].conj().T)
+        rho = (rho.reshape(p, d * d) @ rt.noise_super_t).reshape(p, d, d)
+    rho = conjugate(rho, prod)
+    state = rt.noise_mat @ (rho.reshape(p, d * d) @ rt.to_pauli).real.T
+    return measure(config, rt, state, rng)
+
+
+def ptm_sequence(config, m, rng, rt, group=False):
+    """One sequence propagated in Pauli coordinates, one real transfer
+    matrix per gate and one for the inverse: an arithmetic of its own, equal
+    to the engine's at rounding level."""
+    us = sequence_gates(config, m, rng, group)
+    ls = ptms(us)
+    prod = us[0]
+    for i in range(1, m):
+        prod = us[i] @ prod
+    linv = ptms(prod.conj().T[None, :, :])[0]
+    state = rt.prep_vecs.copy()
+    for i in range(m):
+        state = rt.noise_mat @ (ls[i] @ state)
+    state = rt.noise_mat @ (linv @ state)
+    return measure(config, rt, state, rng)
+
+
+def reference_v_t(config, group_lengths=(), sequence=reference_sequence):
     """V^(t)(m) from one Philox stream per (seed, m, i), one sequence at a
     time; the lengths in group_lengths read the draws as running products."""
     rt = rb._Runtime(config)
@@ -323,7 +363,7 @@ def reference_v_t(config, group_lengths=()):
         for i in range(config.n_sequences):
             ss = np.random.SeedSequence((config.seed, m, i))
             rng = np.random.Generator(np.random.Philox(ss))
-            vals[i] = reference_sequence(config, m, rng, rt, m in group_lengths)
+            vals[i] = sequence(config, m, rng, rt, m in group_lengths)
         powered = vals ** config.t_order
         pts.append((m, powered.mean(), rb._jackknife_stderr(powered),
                     config.n_sequences, config.n_shots))
@@ -349,6 +389,9 @@ def engine_design(name):
         return designs.clifford_group(1)
     if name == "interleaved2q":
         return designs.interleaved_clifford_design()
+    if name == "qudit4":
+        # a product whose layers act on blocks of sides 1 and 3
+        return designs.build_qudit_design(4, 2)
     c, s = np.cos(0.3), np.sin(0.3)
     return designs.UnitaryEnsemble(d=2, kind="product", layers=(
         designs.EnsembleLayer(ico()),
@@ -467,9 +510,8 @@ def einsum_ptms(us, q):
 @given(q=st.sampled_from([1, 2]), n=st.integers(1, 40),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_ptm_kernel_guard(q, n, seed, data):
-    # The engine's bit-identity with the per-sequence reference rests on
-    # the last property: the reference computes each sequence's PTMs in a
-    # stack of its own, the engine in a stack of the whole block.
+    # The M table's bits do not depend on its chunking by the last
+    # property: each chunk's PTMs are computed in a stack of their own.
     d = 2 ** q
     us = numerics.haar_unitaries(d, n, np.random.default_rng(seed))
     got = channels.transfer_matrices(us)
@@ -482,15 +524,14 @@ def test_ptm_kernel_guard(q, n, seed, data):
     assert np.abs(got - einsum_ptms(us, q)).max() <= 1e-14
     i = data.draw(st.integers(0, n - 1), label="position")
     assert channels.transfer_matrices(us[i:i + 1])[0].tobytes() == got[i].tobytes()
-    assert rb._batch_ptms(us[i:i + 1])[0].tobytes() == ls[i].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 24, 500])
 def test_ptm_kernel_peak_within_block_count(n):
-    # _block_size and _Runtime count 32 d^4 bytes per PTM: the kernel's two
-    # live PTM-sized arrays.  Besides them it holds the conjugated stack,
-    # the broadcast product's buffers (capped at one PTM's worth per
-    # operand) and a few kB of numpy bookkeeping.
+    # _m_table counts 32 d^4 bytes per PTM: the kernel's two live PTM-sized
+    # arrays.  Besides them it holds the conjugated stack, the broadcast
+    # product's buffers (capped at one PTM's worth per operand) and a few kB
+    # of numpy bookkeeping.
     d = 4
     us = numerics.haar_unitaries(d, n, np.random.default_rng(n))
     channels.transfer_matrices(us[:1])
@@ -501,6 +542,84 @@ def test_ptm_kernel_peak_within_block_count(n):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * d ** 4 * n + 16 * d ** 2 * n + 32 * d ** 4 + 8192
+
+
+def layered_sample(e, rng, n):
+    """The per-layer draw that designs.sample_streams replaced, kept as a
+    reference: one call per layer, each drawing its n indices."""
+    if e.kind == "explicit":
+        return e.elements[rng.integers(e.size, size=n)]
+    out = np.broadcast_to(np.eye(e.d, dtype=complex), (n, e.d, e.d)).copy()
+    for layer in e.layers:
+        if isinstance(layer, designs.FixedLayer):
+            k = layer.matrix.shape[0]
+            block = slice(layer.offset, layer.offset + k)
+            out[:, :, block] = out[:, :, block] @ layer.matrix
+            continue
+        k = layer.ensemble.d
+        block = slice(layer.offset, layer.offset + k)
+        draw = layered_sample(layer.ensemble, rng, n)
+        if k == e.d:
+            out = np.einsum("nab,nbc->nac", out, draw)
+        else:
+            rows = np.ascontiguousarray(out[:, :, block].transpose(0, 2, 1))
+            out[:, :, block] = np.einsum("nba,nbc->nca", rows, draw).transpose(0, 2, 1)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["interleaved2q", "product1q", "qudit4", "icosahedral59"]),
+       streams=st.integers(1, 6), n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_streams_slices_are_single_draws(name, streams, n, seed):
+    # a stream's slice of the block holds the bits of that stream drawn
+    # alone, by sample and by the per-layer loop, and leaves the stream
+    # where they leave it
+    design = engine_design(name)
+    rngs = [rb._stream(seed, n, i) for i in range(streams)]
+    got = designs.sample_streams(design, rngs, n)
+    assert got.shape == (streams, n, design.d, design.d)
+    for i, rng in enumerate(rngs):
+        one = rb._stream(seed, n, i)
+        assert design.sample(one, n).tobytes() == got[i].tobytes()
+        assert layered_sample(design, rb._stream(seed, n, i), n).tobytes() == got[i].tobytes()
+        assert one.integers(2 ** 62) == rng.integers(2 ** 62)
+
+
+@pytest.mark.parametrize("name", ["interleaved2q", "qudit4", "icosahedral59"])
+@pytest.mark.parametrize("m", [5, 48])
+def test_physical_block_within_counted_bytes(name, m):
+    # one block of the physical path holds at most what _block_size counts
+    # per sequence: the sampled stack and the density matrices
+    design = engine_design(name)
+    op = np.kron(Z, Z) if design.d == 4 else Z
+    cfg = base_config(design=design, noise=channels.random_cptp(design.d, 2, seed=3).to_ptm(),
+                      o_ini=op, o_meas=op, n_sequences=1000, sequence_lengths=(m,))
+    budget = 2 ** 20
+    with mock.patch.object(rb, "BLOCK_BYTES", budget):
+        rt = rb._Runtime(cfg)
+        size = rb._block_size(rt, m, cfg.n_sequences, False)
+        rb._run_block(cfg, rt, None, m, [rb._stream(cfg.seed, m, 0)], 0)
+        rngs = [rb._stream(cfg.seed, m, i) for i in range(size)]
+        tracemalloc.start()
+        try:
+            rb._run_block(cfg, rt, None, m, rngs, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert 1 < size < cfg.n_sequences
+    assert peak <= size * (m * rt.gate_bytes + rt.state_bytes) <= budget
+
+
+def test_zz_curve_independent_of_block_size():
+    # ZZ prepares four eigenstates, whose values are summed in a fixed
+    # order: a block of 13 sequences gives the bits of 13 blocks of one
+    zz = np.kron(Z, Z)
+    cfg = base_config(design=engine_design("interleaved2q"),
+                      noise=channels.noise2_model(0.02, 0.9), o_ini=zz, o_meas=zz,
+                      n_sequences=13, sequence_lengths=tuple(range(1, 41)), seed=0)
+    whole = rb.v_t_monte_carlo(cfg)
+    with mock.patch.object(rb, "BLOCK_BYTES", 1):
+        assert rb.v_t_monte_carlo(cfg).points == whole.points
 
 
 @settings(max_examples=60, deadline=None)
@@ -518,7 +637,9 @@ def test_engine_matches_reference(data):
         o_ini = Z if two_states else P0
         o_meas = data.draw(st.sampled_from([P0, Z]), label="o_meas")
     else:
-        o_ini = paulis.named_operator("rho_minus" if two_states else "P00")
+        # ZZ has four eigenstates, rho_minus two
+        o_ini = paulis.named_operator(data.draw(
+            st.sampled_from(["rho_minus", "ZZ"]), label="o_ini") if two_states else "P00")
         o_meas = paulis.named_operator(data.draw(
             st.sampled_from(["P00", "ZZ"]), label="o_meas"))
     spam = None
@@ -552,11 +673,13 @@ def test_engine_matches_reference(data):
         got = rb.v_t_monte_carlo(cfg)
     want = reference_v_t(cfg, group_lengths=on_table)
     assert_rounding_level(got, want)
-    if design.kind == "explicit":
-        # physical propagation of an explicit design is the reference's, bit
-        # for bit
-        assert ([p for p in got.points if p[0] not in on_table]
-                == [p for p in want.points if p[0] not in on_table])
+    # physical propagation is the reference's, bit for bit, in blocks of
+    # any size
+    assert ([p for p in got.points if p[0] not in on_table]
+            == [p for p in want.points if p[0] not in on_table])
+    # and an arithmetic of its own, in Pauli coordinates, agrees with both
+    # paths at rounding level
+    assert_rounding_level(got, reference_v_t(cfg, on_table, ptm_sequence))
 
 
 # ---------------------------------------------------------------------------
