@@ -212,6 +212,21 @@ def kraus_self_adjointness_param(k: KrausChannel) -> float:
 # noise families
 
 
+def _flip_noise(p: float, q: float, flip: np.ndarray) -> PTM:
+    """With probability q the rotation exp(i theta P) of the flip Pauli P,
+    theta = arcsin(sqrt(p)); with probability 1-q the flip P itself with
+    probability p."""
+    _check_unit_interval(p=p, q=q)
+    ops = []
+    if q > 0:
+        ops.append(np.sqrt(q) * paulis.pauli_rotation(np.arcsin(np.sqrt(p)), flip))
+    if (1 - q) * (1 - p) > 0:
+        ops.append(np.sqrt((1 - q) * (1 - p)) * np.eye(len(flip), dtype=complex))
+    if (1 - q) * p > 0:
+        ops.append(np.sqrt((1 - q) * p) * flip)
+    return ptm_from_kraus(KrausChannel(tuple(ops)))
+
+
 def noise1_model(p: float, q: float) -> PTM:
     """Partially coherent X error on one qubit.
 
@@ -220,17 +235,7 @@ def noise1_model(p: float, q: float) -> PTM:
     p happens stochastically.  Both branches have the same fidelity
     f = 1 - 4p/3, so q moves the unitarity/self-adjointness only.
     """
-    _check_unit_interval(p=p, q=q)
-    theta = np.arcsin(np.sqrt(p))
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    ops = []
-    if q > 0:
-        ops.append(np.sqrt(q) * numerics.matexp(1j * theta * x))
-    if (1 - q) * (1 - p) > 0:
-        ops.append(np.sqrt((1 - q) * (1 - p)) * np.eye(2, dtype=complex))
-    if (1 - q) * p > 0:
-        ops.append(np.sqrt((1 - q) * p) * x)
-    return ptm_from_kraus(KrausChannel(tuple(ops)))
+    return _flip_noise(p, q, paulis.X)
 
 
 def noise1_closed_form(p: float, q: float) -> MetricSet:
@@ -246,18 +251,7 @@ def noise1_closed_form(p: float, q: float) -> MetricSet:
 
 def noise2_model(p: float, q: float) -> PTM:
     """Two-qubit analog of noise1 with XX in place of X."""
-    _check_unit_interval(p=p, q=q)
-    theta = np.arcsin(np.sqrt(p))
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    xx = np.kron(x, x)
-    ops = []
-    if q > 0:
-        ops.append(np.sqrt(q) * numerics.matexp(1j * theta * xx))
-    if (1 - q) * (1 - p) > 0:
-        ops.append(np.sqrt((1 - q) * (1 - p)) * np.eye(4, dtype=complex))
-    if (1 - q) * p > 0:
-        ops.append(np.sqrt((1 - q) * p) * xx)
-    return ptm_from_kraus(KrausChannel(tuple(ops)))
+    return _flip_noise(p, q, np.kron(paulis.X, paulis.X))
 
 
 def noise2_closed_form(p: float, q: float) -> dict:
@@ -288,33 +282,23 @@ def lindblad_ptm(t1: float, t2: float, chi: float = 0.0, delay: float = 0.0,
     Z/sqrt(2 Tphi) with 1/Tphi = 1/T2 - 1/(2 T1).  With include_zz a
     coherent (chi/2) Z Hamiltonian term is added (chi in rad per time unit),
     modeling an always-on dispersive shift from a neighboring qubit.  The
-    PTM is the dense exponential of the Liouvillian times the delay.
+    Liouvillian's exponential is affine on the Bloch vector: z -> a z + 1 - a
+    with a = exp(-delay/T1), and (x, y) shrinks by b = exp(-delay/T2) while
+    it turns by omega = chi delay about Z.
     """
     if t1 <= 0 or t2 <= 0:
         raise ValueError("relaxation times must be positive")
-    inv_tphi = 1.0 / t2 - 1.0 / (2.0 * t1)
-    if inv_tphi < -1e-15:
+    if 1.0 / t2 - 1.0 / (2.0 * t1) < -1e-15:
         raise ValueError("unphysical T2 > 2*T1")
-    inv_tphi = max(inv_tphi, 0.0)
-    lower = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
-    z = np.diag([1.0, -1.0]).astype(complex)
-    jumps = [lower / np.sqrt(t1)]
-    if inv_tphi > 0:
-        jumps.append(z * np.sqrt(inv_tphi / 2.0))
-    # the Liouvillian on row-major vec, where A X B -> (A (x) B^T) vec(X),
-    # taken to the Pauli basis by the change of basis of transfer_matrices
-    eye = np.eye(2)
-    sup = np.zeros((4, 4), dtype=complex)
-    for jump in jumps:
-        decay = jump.conj().T @ jump
-        sup += np.kron(jump, jump.conj()) - 0.5 * (np.kron(decay, eye) + np.kron(eye, decay.T))
-    if include_zz:
-        ham = (chi / 2.0) * z
-        sup += -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
-    w = paulis.vec_basis_matrix(2)
-    gen = (w.conj().T @ sup @ w).real
-    prop = numerics.matexp(gen * delay)
-    return PTM(q=1, matrix=np.real(prop))
+    omega = chi * delay if include_zz else 0.0
+    if not np.isfinite(delay) or not np.isfinite(omega):
+        raise ValueError("non-finite delay or phase chi * delay")
+    a, b = np.exp(-delay / t1), np.exp(-delay / t2)
+    c, s = b * np.cos(omega), b * np.sin(omega)
+    return PTM(q=1, matrix=np.array([[1.0, 0.0, 0.0, 0.0],
+                                     [0.0, c, -s, 0.0],
+                                     [0.0, s, c, 0.0],
+                                     [1.0 - a, 0.0, 0.0, a]]))
 
 
 def random_cptp(d: int, kraus_rank: int, seed: int) -> KrausChannel:

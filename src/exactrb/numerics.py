@@ -2,14 +2,13 @@
 
 Matrices are plain numpy arrays: ``complex128`` for unitaries and Hermitian
 operators, ``float64`` for transfer matrices and Gram matrices.  Everything
-here is pure and deterministic: the matrix exponential, the PSD
-pseudoinverse with its rank, and seeded Haar-random unitaries.
+here is pure and deterministic: the PSD pseudoinverse with its rank, and
+seeded Haar-random unitaries.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -25,12 +24,6 @@ def _require_finite(a: np.ndarray, name: str = "result") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def matexp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential e^A via scaling-and-squaring with Pade approximant."""
-    a = _require_square(a)
-    return _require_finite(scipy.linalg.expm(a), "matexp")
 
 
 def pinv_psd(g: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,

@@ -22,6 +22,11 @@ Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS_1Q = (I2, X, Y, Z)
 
 
+def pauli_rotation(theta: float, p: np.ndarray) -> np.ndarray:
+    """exp(i theta P) = cos(theta) I + i sin(theta) P, for any P with P^2 = I."""
+    return np.cos(theta) * np.eye(len(p)) + 1j * np.sin(theta) * p
+
+
 @functools.lru_cache(maxsize=None)
 def pauli_basis(q: int) -> np.ndarray:
     """Normalized q-qubit Pauli basis as a ``(4**q, 2**q, 2**q)`` stack."""

@@ -643,7 +643,9 @@ def _refine(ms, wy, w, known, starts):
         better = drop > 0.0
         # chi^2 decrease that the linearised residual r + J step predicts
         pred = -np.einsum("sf,sf->s", step, 2.0 * grad + np.einsum("sfg,sg->sf", hess, step))
-        rho = np.where(pred > 0.0, drop / np.where(pred > 0.0, pred, 1.0), 0.0)
+        # clipped to [0, 1]: past 1 the factor is 1/3 anyway, and a huge
+        # ratio would overflow the cube
+        rho = np.clip(np.where(pred > 0.0, drop / np.where(pred > 0.0, pred, 1.0), 0.0), 0.0, 1.0)
         lam = np.where(better, np.maximum(lam * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), floor),
                        lam * _DAMPING_STEP)
         gain = np.where(better, drop, gain)

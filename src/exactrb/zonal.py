@@ -7,7 +7,8 @@ of the double coset: the Jacobi polynomials P_k^(d-2, 0)(2x - 1),
 normalized to 1 at x = 1.  Their zeros supply the rotation angles of the
 inductive design construction; the largest zero in (0, 1) is the one used.
 The zeros are the eigenvalues of the recurrence's symmetric tridiagonal
-Jacobi matrix (Golub & Welsch), exact to rounding, with no root search;
+Jacobi matrix (Golub & Welsch), formed densely since k <= haar.MAX_T, exact
+to rounding, with no root search;
 :func:`_jacobi_shifted` evaluates the polynomial itself by the three-term
 recurrence, an independent check of them.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ def _zeros(k: int, d: int) -> np.ndarray:
     s = 2.0 * j + alpha
     diag = np.concatenate([[-alpha / (alpha + 2.0)], -alpha ** 2 / (s * (s + 2.0))])
     off = 2.0 * j * (j + alpha) / (s * np.sqrt(s * s - 1.0))
-    return (scipy.linalg.eigvalsh_tridiagonal(diag, off) + 1.0) / 2.0
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return (np.linalg.eigvalsh(jacobi) + 1.0) / 2.0
 
 
 def find_angles(label: SphericalLabel) -> np.ndarray:

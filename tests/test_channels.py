@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -145,7 +146,7 @@ def test_kraus_self_adjointness_param(rng):
 
 
 def test_sqrt_x_saturates_h_lower_bound():
-    u = numerics.matexp(1j * (np.pi / 4) * X)
+    u = scipy.linalg.expm(1j * (np.pi / 4) * X)
     met = channels.metrics(channels.ptm_of_unitary(u))
     assert abs(met.h + 1.0 / 3.0) < 1e-14
     assert abs(met.F - 2.0 / 3.0) < 1e-14
@@ -174,6 +175,44 @@ def test_lindblad_zz_term_rotates():
     # Nearly pure Z rotation by chi: X -> cos(chi) X - sin(chi) Y.
     assert abs(l.matrix[1, 1] - np.cos(0.5)) < 1e-6
     assert abs(abs(l.matrix[2, 1]) - np.sin(0.5)) < 1e-6
+
+
+def liouvillian_ptm(t1, t2, chi, delay, include_zz):
+    """The propagator as the exponential of the dense Liouvillian: jumps
+    |0><1|/sqrt(T1) and Z/sqrt(2 Tphi), Hamiltonian (chi/2) Z, row-major vec
+    where A X B -> (A (x) B^T) vec(X), taken to the Pauli basis."""
+    inv_tphi = max(1.0 / t2 - 1.0 / (2.0 * t1), 0.0)
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    jumps = [lower / np.sqrt(t1), paulis.Z * np.sqrt(inv_tphi / 2.0)]
+    eye = np.eye(2)
+    sup = np.zeros((4, 4), dtype=complex)
+    for jump in jumps:
+        decay = jump.conj().T @ jump
+        sup += np.kron(jump, jump.conj()) - 0.5 * (np.kron(decay, eye) + np.kron(eye, decay.T))
+    if include_zz:
+        ham = (chi / 2.0) * paulis.Z
+        sup += -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    w = paulis.vec_basis_matrix(2)
+    return scipy.linalg.expm((w.conj().T @ sup @ w).real * delay).real
+
+
+@settings(max_examples=200, deadline=None)
+@given(t1=st.floats(0.1, 100.0), ratio=st.floats(0.05, 1.0), chi=st.floats(-5.0, 5.0),
+       delay=st.one_of(st.just(0.0), st.floats(0.0, 10.0)), include_zz=st.booleans())
+def test_lindblad_ptm_matches_liouvillian_exponential(t1, ratio, chi, delay, include_zz):
+    # ratio 1 is T2 = 2 T1, where pure dephasing vanishes
+    t2 = 2.0 * t1 * ratio
+    l = channels.lindblad_ptm(t1, t2, chi=chi, delay=delay, include_zz=include_zz)
+    ref = liouvillian_ptm(t1, t2, chi, delay, include_zz)
+    assert np.abs(l.matrix - ref).max() <= 1e-11
+
+
+@pytest.mark.parametrize("delay", [np.inf, np.nan, 1e300])
+def test_lindblad_rejects_non_finite_propagator(delay):
+    # chi * delay overflows at 1e300, so the rotation angle is not finite
+    with pytest.raises(ValueError, match="non-finite"):
+        channels.noise_from_config({"model": "lindblad", "t1": 1.0, "t2": 1.0, "delay": delay,
+                                    "chi": 1e10, "include_zz": True})
 
 
 def test_lindblad_rejects_unphysical():

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -273,7 +274,7 @@ def test_direct_sum_is_the_block_copy_loop():
 def test_rotation_unitary():
     u = designs.rotation_unitary([0.3], 1, 2)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert np.abs(u - numerics.matexp(0.3j * x)).max() < 1e-13
+    assert np.abs(u - scipy.linalg.expm(0.3j * x)).max() < 1e-13
     v = designs.rotation_unitary([0.2, 0.5], 2, 5)
     assert np.abs(v @ v.conj().T - np.eye(5)).max() < 1e-13
     assert abs(v[4, 4] - 1.0) < 1e-15
@@ -546,6 +547,25 @@ def test_uc_unitary_is_unitary():
     assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-10
 
 
+def test_uc_unitary_matches_expm_reference():
+    # the core exp(-i (phi_x XX + phi_y YY + phi_z ZZ)) as one exponential
+    # of the sum of its commuting terms, and every rotation by expm
+    x, y, z = paulis.X, paulis.Y, paulis.Z
+    expm = scipy.linalg.expm
+    phi_x, phi_y, phi_z = designs._UC_PHIS
+    core = expm(-1j * (phi_x * np.kron(x, x) + phi_y * np.kron(y, y) + phi_z * np.kron(z, z)))
+    rot = paulis.pauli_rotation
+    closed = rot(-phi_x, np.kron(x, x)) @ rot(-phi_y, np.kron(y, y)) @ rot(-phi_z, np.kron(z, z))
+    assert np.abs(closed - core).max() <= 1e-15
+
+    def r1(a, b, c):
+        return expm(1j * a * z) @ expm(1j * b * y) @ expm(1j * c * z)
+
+    outer = np.kron(r1(*designs._UC_ANGLES_A), r1(*designs._UC_ANGLES_A2))
+    inner = np.kron(r1(*designs._UC_ANGLES_B), r1(*designs._UC_ANGLES_B2))
+    assert np.abs(designs.uc_unitary() - outer @ core @ inner).max() <= 1e-15
+
+
 def test_frame_potential_modes_agree(rng):
     e = designs.icosahedral_group()
     exact = _pair_frame_potential(e, 2)
@@ -577,7 +597,7 @@ def test_commutant_frame_potential_matches_pair_sum(seed, t):
 
 def test_commutant_frame_potential_perturbed_uc():
     # a U_c off the design: both evaluations see the same excess over 24
-    kick = numerics.matexp(0.05j * np.kron(paulis.X, paulis.Z))
+    kick = scipy.linalg.expm(0.05j * np.kron(paulis.X, paulis.Z))
     e = _clifford_layered(designs.clifford_group(2), designs.uc_unitary() @ kick)
     fp, _ = designs.frame_potential(e, 4, mode="interleaved-reduced")
     ref = _reference_interleaved_pairs(e, 4)
@@ -606,7 +626,7 @@ def test_frame_potential_reduced_mode_rejects_wrong_shape():
     repeated[5] = 1j * repeated[4]
     # a rotation off the Clifford group in place of one element
     off = c1.elements.copy()
-    off[5] = numerics.matexp(0.1j * paulis.X)
+    off[5] = scipy.linalg.expm(0.1j * paulis.X)
     bad = {
         "explicit": (ico, "qubit layers"),
         "icosahedral layers": (_clifford_layered(ico, eye), "24-element 1-qubit"),
@@ -655,31 +675,15 @@ def test_commutant_residuals_match_dense(n_fixed):
         assert abs(reduced.residuals[(t, t)] ** 2 - excess) <= 1e-12
 
 
-# U_c's angles refined from their six-digit values by a least-squares solve
-# of the t = 4 residual; the shipped angles leave a residual of 7.9e-7.
-_REFINED_UC = (1.500969861322, 5.698980002731, 2.531810048771, 1.253830052149,
-               0.017000074077, 6.211269985387, 0.376407076862, 0.368785937979,
-               3.690139781934, 4.663350432756, 3.048539813481, 1.455240158488,
-               0.337422922193, 3.381370172705, 3.825030148973)
-
-
-def test_commutant_verifies_interleaved_design_exactly(monkeypatch):
+def test_commutant_verifies_interleaved_design_exactly():
+    # the kernel has no cancellation floor: U_c's refined angles pass the
+    # check at the default 1e-10
     e = designs.interleaved_clifford_design()
     report = designs.verify_strong_design(e, 4, strong=False)
     assert report.mode == "commutant"
-    assert 1e-7 < report.residuals[(4, 4)] < 1e-6
-    assert max(report.residuals[(k, k)] for k in range(4)) < 1e-13
-    # the kernel has no cancellation floor: with refined angles the same
-    # check passes at the default 1e-10
-    a = _REFINED_UC
-    for name, value in (("_UC_ANGLES_A", a[0:3]), ("_UC_ANGLES_A2", a[3:6]),
-                        ("_UC_PHIS", a[6:9]), ("_UC_ANGLES_B", a[9:12]),
-                        ("_UC_ANGLES_B2", a[12:15])):
-        monkeypatch.setattr(designs, name, value)
-    e = _clifford_layered(e.layers[0].ensemble, designs.uc_unitary())
-    report = designs.verify_strong_design(e, 4, strong=False)
     assert report.passed
     assert report.residuals[(4, 4)] < 1e-11
+    assert max(report.residuals[(k, k)] for k in range(4)) < 1e-13
     assert abs(report.frame_potential - 24.0) < 1e-12
     # strong checks and orders above 4 still need samples
     for kwargs in ({"t": 4, "strong": True}, {"t": 5, "strong": False}):

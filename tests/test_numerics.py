@@ -1,25 +1,26 @@
-"""Dense linear-algebra helpers: matexp, PSD pinv, Haar-random unitaries."""
+"""Dense linear-algebra helpers: Pauli rotations, PSD pinv, Haar-random
+unitaries."""
+
+import functools
 
 import numpy as np
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exactrb import numerics
+from exactrb import numerics, paulis
 
-
-def test_matexp_of_zero_is_identity():
-    assert np.allclose(numerics.matexp(np.zeros((4, 4))), np.eye(4), atol=1e-14)
-
-
-def test_matexp_skew_hermitian_is_unitary(rng):
-    h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = (h + h.conj().T) / 2
-    u = numerics.matexp(1j * h)
-    assert np.abs(u @ u.conj().T - np.eye(5)).max() < 1e-12
+PAULI_STRINGS = {name: functools.reduce(np.kron, (getattr(paulis, c) for c in name))
+                 for name in ("X", "Y", "Z", "XX", "YY", "ZZ")}
 
 
-def test_matexp_diagonal():
-    d = np.diag([0.1, -0.5, 2.0])
-    assert np.allclose(numerics.matexp(d), np.diag(np.exp([0.1, -0.5, 2.0])),
-                       atol=1e-14)
+# one period: past it the reference's own scaling-and-squaring error nears 1e-15
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(-np.pi, np.pi), name=st.sampled_from(sorted(PAULI_STRINGS)))
+def test_pauli_rotation_matches_expm(theta, name):
+    p = PAULI_STRINGS[name]
+    u = paulis.pauli_rotation(theta, p)
+    assert np.abs(u - scipy.linalg.expm(1j * theta * p)).max() <= 1e-15
 
 
 def test_pinv_psd_rank_and_inverse(rng):

@@ -2,6 +2,7 @@
 
 import functools
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -933,6 +934,31 @@ def test_fit_budget_flags_non_converged(monkeypatch):
     assert "non_converged" in fit.flags
     # the scored starts, then one evaluation per start still running
     assert starts < fit.n_evaluations <= starts * (rb.FIT_BUDGET + 1)
+
+
+# a pinned-rate fit from the 2q pipeline on the Clifford group C2, noise2(0.02,
+# 0.9), lengths 48-56, 240 sequences, seed 5: one step's gain ratio is so
+# large that cubing it overflowed before the damping clamp
+OVERFLOW_CURVE = (
+    (48, 0.35921646304496374, 0.01824106043975125),
+    (49, 0.35005330532557105, 0.01798772392719545),
+    (50, 0.3357797835044473, 0.017404041387491635),
+    (51, 0.3230482152566983, 0.019046951161373154),
+    (52, 0.3164962796408902, 0.018844630968762252),
+    (53, 0.3125016022435142, 0.017552150270791173),
+    (54, 0.3010109487481301, 0.019249035138745773),
+    (55, 0.29540609722150785, 0.019042905553104825),
+    (56, 0.3098219654734088, 0.017699804359069784),
+)
+
+
+def test_fit_damping_update_does_not_overflow():
+    curve = rb.DecayCurve(points=tuple((m, v, se, 240, 0) for m, v, se in OVERFLOW_CURVE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = rb.fit_exponentials(curve, 2, known_rates=[1.0])
+    assert fit.rates[0] == 1.0 and abs(fit.rates[1] - 0.7723358085806729) < 1e-9
+    assert fit.flags == ("ill_conditioned",)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from exactrb import numerics, zonal
+from exactrb import haar, numerics, zonal
 
 
 def test_label_validation():
@@ -82,6 +83,20 @@ def test_zeros_solve_the_recurrence_to_rounding(d):
         x = zonal._zeros(k, d)
         assert len(x) == k and 0.0 < x[0] and x[-1] < 1.0
         assert np.abs(zonal._jacobi_shifted(k, d, x)).max() <= 1e-14, k
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_zeros_match_tridiagonal_eigensolver(d):
+    # the dense Jacobi matrix's eigenvalues against LAPACK's tridiagonal
+    # solver, for every order the designs reach (t <= haar.MAX_T)
+    for k in range(1, haar.MAX_T + 1):
+        alpha = d - 2.0
+        j = np.arange(1.0, k)
+        s = 2.0 * j + alpha
+        diag = np.concatenate([[-alpha / (alpha + 2.0)], -alpha ** 2 / (s * (s + 2.0))])
+        off = 2.0 * j * (j + alpha) / (s * np.sqrt(s * s - 1.0))
+        ref = (scipy.linalg.eigvalsh_tridiagonal(diag, off) + 1.0) / 2.0
+        assert np.abs(zonal._zeros(k, d) - ref).max() <= 1e-14, k
 
 
 @pytest.mark.parametrize("d", range(2, 9))
